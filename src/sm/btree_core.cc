@@ -26,6 +26,7 @@ constexpr char kInternal = 2;
 // Split threshold: rewrite must always fit a page.
 constexpr size_t kNodeCapacity = kPageSize - 64;
 
+// Parsed copies of a node, built only to split it and by Verify.
 struct LeafNode {
   PageId next = kInvalidPageId;
   std::vector<std::string> entries;
@@ -40,19 +41,46 @@ char NodeType(const Page& p) { return p.data[kTypeOff]; }
 
 uint16_t EntryCount(const Page& p) { return DecodeFixed16(p.data + kCountOff); }
 
+void SetEntryCount(Page* p, uint16_t count) {
+  memcpy(p->data + kCountOff, &count, 2);
+}
+
 PageId NodeLink(const Page& p) { return DecodeFixed32(p.data + kLinkOff); }
+
+// In-place entry readers: decode the entry that starts at byte *off of the
+// page image and advance *off past it. An entry that would run past the
+// page end is Corruption.
+Status ReadLeafEntry(const Page& p, size_t* off, Slice* entry) {
+  Slice in(p.data + *off, kPageSize - *off);
+  if (!GetLengthPrefixedSlice(&in, entry)) {
+    return Status::Corruption("btree leaf entry");
+  }
+  *off = kPageSize - in.size();
+  return Status::OK();
+}
+
+Status ReadInternalEntry(const Page& p, size_t* off, Slice* sep,
+                         PageId* child) {
+  Slice in(p.data + *off, kPageSize - *off);
+  if (!GetLengthPrefixedSlice(&in, sep)) {
+    return Status::Corruption("btree internal separator");
+  }
+  if (!GetFixed32(&in, child)) {
+    return Status::Corruption("btree internal child");
+  }
+  *off = kPageSize - in.size();
+  return Status::OK();
+}
 
 Status ParseLeaf(const Page& p, LeafNode* out) {
   out->next = NodeLink(p);
   uint16_t n = EntryCount(p);
-  Slice in(p.data + kEntriesOff, kPageSize - kEntriesOff);
   out->entries.clear();
   out->entries.reserve(n);
+  size_t off = kEntriesOff;
   for (uint16_t i = 0; i < n; ++i) {
     Slice e;
-    if (!GetLengthPrefixedSlice(&in, &e)) {
-      return Status::Corruption("btree leaf entry");
-    }
+    DMX_RETURN_IF_ERROR(ReadLeafEntry(p, &off, &e));
     out->entries.push_back(e.ToString());
   }
   return Status::OK();
@@ -61,29 +89,38 @@ Status ParseLeaf(const Page& p, LeafNode* out) {
 Status ParseInternal(const Page& p, InternalNode* out) {
   out->leftmost = NodeLink(p);
   uint16_t n = EntryCount(p);
-  Slice in(p.data + kEntriesOff, kPageSize - kEntriesOff);
   out->entries.clear();
   out->entries.reserve(n);
+  size_t off = kEntriesOff;
   for (uint16_t i = 0; i < n; ++i) {
     Slice sep;
-    if (!GetLengthPrefixedSlice(&in, &sep)) {
-      return Status::Corruption("btree internal separator");
-    }
-    uint32_t child;
-    if (!GetFixed32(&in, &child)) {
-      return Status::Corruption("btree internal child");
-    }
+    PageId child;
+    DMX_RETURN_IF_ERROR(ReadInternalEntry(p, &off, &sep, &child));
     out->entries.emplace_back(sep.ToString(), child);
   }
   return Status::OK();
 }
 
-size_t SerializedLeafSize(const LeafNode& n) {
-  size_t s = kEntriesOff;
-  for (const auto& e : n.entries) s += 5 + e.size();
-  return s;
+// The child of internal node `p` whose subtree holds `composite`, and its
+// position (0 = leftmost, i + 1 = the child of entry i).
+Status RouteInternal(const Page& p, const Slice& composite, PageId* child,
+                     size_t* child_pos) {
+  *child = NodeLink(p);
+  *child_pos = 0;
+  size_t off = kEntriesOff;
+  for (uint16_t i = 0, n = EntryCount(p); i < n; ++i) {
+    Slice sep;
+    PageId ch;
+    DMX_RETURN_IF_ERROR(ReadInternalEntry(p, &off, &sep, &ch));
+    if (composite.compare(sep) < 0) break;
+    *child = ch;
+    *child_pos = i + 1;
+  }
+  return Status::OK();
 }
 
+// Split rule: a node splits when this bound on its size (5 bytes for every
+// length prefix) passes kNodeCapacity. Leaves apply the same sum in place.
 size_t SerializedInternalSize(const InternalNode& n) {
   size_t s = kEntriesOff;
   for (const auto& [sep, child] : n.entries) s += 5 + sep.size() + 4;
@@ -187,11 +224,16 @@ Status BTree::Destroy(BufferPool* bp, PageId anchor) {
     {
       PageHandle h;
       DMX_RETURN_IF_ERROR(bp->Fetch(id, &h));
-      if (NodeType(*h.page()) == kInternal) {
-        InternalNode n;
-        DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &n));
-        stack.push_back(n.leftmost);
-        for (const auto& [sep, child] : n.entries) stack.push_back(child);
+      const Page& p = *h.page();
+      if (NodeType(p) == kInternal) {
+        stack.push_back(NodeLink(p));
+        size_t off = kEntriesOff;
+        for (uint16_t i = 0, n = EntryCount(p); i < n; ++i) {
+          Slice sep;
+          PageId child;
+          DMX_RETURN_IF_ERROR(ReadInternalEntry(p, &off, &sep, &child));
+          stack.push_back(child);
+        }
       }
     }
     DMX_RETURN_IF_ERROR(bp->FreePage(id));
@@ -214,8 +256,7 @@ Status BTree::SetRootPage(PageId root) {
   return Status::OK();
 }
 
-Status BTree::FindLeaf(const Slice& key, const Slice& value, PageId* leaf) {
-  std::string composite = BTreeComposeEntry(key, value);
+Status BTree::FindLeaf(const Slice& composite, PageId* leaf) {
   PageId node;
   DMX_RETURN_IF_ERROR(RootPage(&node));
   while (true) {
@@ -225,17 +266,20 @@ Status BTree::FindLeaf(const Slice& key, const Slice& value, PageId* leaf) {
       *leaf = node;
       return Status::OK();
     }
-    InternalNode n;
-    DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &n));
-    PageId child = n.leftmost;
-    for (const auto& [sep, ch] : n.entries) {
-      if (Slice(composite).compare(Slice(sep)) >= 0) {
-        child = ch;
-      } else {
-        break;
-      }
-    }
-    node = child;
+    size_t pos;
+    DMX_RETURN_IF_ERROR(RouteInternal(*h.page(), composite, &node, &pos));
+  }
+}
+
+Status BTree::LeftmostLeaf(PageId* leaf, uint32_t* height) {
+  *height = 1;
+  DMX_RETURN_IF_ERROR(RootPage(leaf));
+  while (true) {
+    PageHandle h;
+    DMX_RETURN_IF_ERROR(bp_->Fetch(*leaf, &h));
+    if (NodeType(*h.page()) == kLeaf) return Status::OK();
+    *leaf = NodeLink(*h.page());
+    ++*height;
   }
 }
 
@@ -246,62 +290,95 @@ struct SplitResult {
   PageId right;
 };
 
-}  // namespace
+// Inserts into a leaf. The node is rewritten from a parsed copy only when
+// it splits; otherwise the tail is shifted in place, which leaves the same
+// bytes a rewrite would.
+Status LeafInsert(BufferPool* bp, PageHandle* h, const std::string& composite,
+                  std::optional<SplitResult>* split, bool* inserted) {
+  Page* p = h->page();
+  const uint16_t n = EntryCount(*p);
+  size_t off = kEntriesOff;
+  size_t insert_at = 0;  // offset of the first entry >= composite
+  bool found_slot = false;
+  bool present = false;
+  size_t serialized = kEntriesOff + 5 + composite.size();
+  for (uint16_t i = 0; i < n; ++i) {
+    size_t at = off;
+    Slice e;
+    DMX_RETURN_IF_ERROR(ReadLeafEntry(*p, &off, &e));
+    serialized += 5 + e.size();
+    if (!found_slot) {
+      int cmp = Slice(composite).compare(e);
+      if (cmp <= 0) {
+        insert_at = at;
+        found_slot = true;
+        present = cmp == 0;
+      }
+    }
+  }
+  if (present) {
+    *inserted = false;  // exact (key,value) already present: idempotent
+    return Status::OK();
+  }
+  const size_t end = off;
+  if (!found_slot) insert_at = end;
+  *inserted = true;
 
-// Recursive insert helper declared here to keep BTree's header small.
-namespace {
+  if (serialized <= kNodeCapacity || n == 0) {
+    std::string framed;
+    PutVarint32(&framed, static_cast<uint32_t>(composite.size()));
+    framed.append(composite);
+    assert(end + framed.size() <= kPageSize);
+    memmove(p->data + insert_at + framed.size(), p->data + insert_at,
+            end - insert_at);
+    memcpy(p->data + insert_at, framed.data(), framed.size());
+    SetEntryCount(p, static_cast<uint16_t>(n + 1));
+    h->MarkDirty();
+    return Status::OK();
+  }
+
+  // Split: right half to a fresh page.
+  LeafNode leaf;
+  DMX_RETURN_IF_ERROR(ParseLeaf(*p, &leaf));
+  leaf.entries.insert(
+      std::lower_bound(leaf.entries.begin(), leaf.entries.end(), composite),
+      composite);
+  size_t mid = leaf.entries.size() / 2;
+  LeafNode right;
+  right.entries.assign(leaf.entries.begin() + static_cast<long>(mid),
+                       leaf.entries.end());
+  leaf.entries.resize(mid);
+  right.next = leaf.next;
+  PageId right_id;
+  PageHandle rh;
+  DMX_RETURN_IF_ERROR(bp->New(&right_id, &rh));
+  leaf.next = right_id;
+  WriteLeaf(rh.page(), right, kInvalidLsn);
+  rh.MarkDirty();
+  *split = SplitResult{right.entries.front(), right_id};
+  WriteLeaf(p, leaf, PageLsn(*p));
+  h->MarkDirty();
+  return Status::OK();
+}
 
 Status InsertRec(BufferPool* bp, PageId node, const std::string& composite,
                  std::optional<SplitResult>* split, bool* inserted) {
   PageHandle h;
   DMX_RETURN_IF_ERROR(bp->Fetch(node, &h));
   if (NodeType(*h.page()) == kLeaf) {
-    LeafNode leaf;
-    DMX_RETURN_IF_ERROR(ParseLeaf(*h.page(), &leaf));
-    auto it = std::lower_bound(leaf.entries.begin(), leaf.entries.end(),
-                               composite);
-    if (it != leaf.entries.end() && *it == composite) {
-      *inserted = false;  // exact (key,value) already present: idempotent
-      return Status::OK();
-    }
-    leaf.entries.insert(it, composite);
-    if (SerializedLeafSize(leaf) > kNodeCapacity && leaf.entries.size() > 1) {
-      // Split: right half to a fresh page.
-      size_t mid = leaf.entries.size() / 2;
-      LeafNode right;
-      right.entries.assign(leaf.entries.begin() + mid, leaf.entries.end());
-      leaf.entries.resize(mid);
-      right.next = leaf.next;
-      PageId right_id;
-      PageHandle rh;
-      DMX_RETURN_IF_ERROR(bp->New(&right_id, &rh));
-      leaf.next = right_id;
-      WriteLeaf(rh.page(), right, kInvalidLsn);
-      rh.MarkDirty();
-      *split = SplitResult{right.entries.front(), right_id};
-    }
-    WriteLeaf(h.page(), leaf, PageLsn(*h.page()));
-    h.MarkDirty();
-    *inserted = true;
-    return Status::OK();
+    return LeafInsert(bp, &h, composite, split, inserted);
   }
 
-  InternalNode n;
-  DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &n));
-  PageId child = n.leftmost;
-  size_t child_pos = 0;  // 0 = leftmost, i+1 = entries[i].child
-  for (size_t i = 0; i < n.entries.size(); ++i) {
-    if (Slice(composite).compare(Slice(n.entries[i].first)) >= 0) {
-      child = n.entries[i].second;
-      child_pos = i + 1;
-    } else {
-      break;
-    }
-  }
+  PageId child;
+  size_t child_pos;
+  DMX_RETURN_IF_ERROR(
+      RouteInternal(*h.page(), Slice(composite), &child, &child_pos));
   std::optional<SplitResult> child_split;
   DMX_RETURN_IF_ERROR(InsertRec(bp, child, composite, &child_split, inserted));
   if (!child_split.has_value()) return Status::OK();
 
+  InternalNode n;
+  DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &n));
   n.entries.insert(n.entries.begin() + static_cast<long>(child_pos),
                    {child_split->separator, child_split->right});
   if (SerializedInternalSize(n) > kNodeCapacity && n.entries.size() > 2) {
@@ -331,11 +408,13 @@ Status BTree::Insert(const Slice& key, const Slice& value, bool unique) {
   if (composite.size() > kPageSize / 8) {
     return Status::InvalidArgument("btree entry too large");
   }
+  MutexLock lock(&mu_);
   if (unique) {
     // A duplicate (key, other-value) may live in a different leaf than the
     // one the full composite routes to, so uniqueness is checked by key.
+    // The check and the insert share one latch hold.
     std::vector<std::string> existing;
-    DMX_RETURN_IF_ERROR(Lookup(key, &existing));
+    DMX_RETURN_IF_ERROR(LookupLocked(key, &existing));
     for (const std::string& v : existing) {
       if (Slice(v) != value) {
         return Status::Constraint("duplicate key in unique index");
@@ -344,6 +423,9 @@ Status BTree::Insert(const Slice& key, const Slice& value, bool unique) {
   }
   PageId root;
   DMX_RETURN_IF_ERROR(RootPage(&root));
+  // Counted before any page changes, so a failure part-way through still
+  // invalidates iterator cursors.
+  ++mod_count_;
   std::optional<SplitResult> split;
   bool inserted = false;
   DMX_RETURN_IF_ERROR(InsertRec(bp_, root, composite, &split, &inserted));
@@ -364,38 +446,68 @@ Status BTree::Insert(const Slice& key, const Slice& value, bool unique) {
 
 Status BTree::Remove(const Slice& key, const Slice& value, bool idempotent) {
   std::string composite = BTreeComposeEntry(key, value);
+  MutexLock lock(&mu_);
   PageId leaf_id;
-  DMX_RETURN_IF_ERROR(FindLeaf(key, value, &leaf_id));
+  DMX_RETURN_IF_ERROR(FindLeaf(composite, &leaf_id));
   PageHandle h;
   DMX_RETURN_IF_ERROR(bp_->Fetch(leaf_id, &h));
-  LeafNode leaf;
-  DMX_RETURN_IF_ERROR(ParseLeaf(*h.page(), &leaf));
-  auto it = std::lower_bound(leaf.entries.begin(), leaf.entries.end(),
-                             composite);
-  if (it == leaf.entries.end() || *it != composite) {
+  Page* p = h.page();
+  const uint16_t n = EntryCount(*p);
+  size_t off = kEntriesOff;
+  size_t victim = 0, victim_end = 0;  // byte range of the matching entry
+  bool present = false;
+  for (uint16_t i = 0; i < n; ++i) {
+    size_t at = off;
+    Slice e;
+    DMX_RETURN_IF_ERROR(ReadLeafEntry(*p, &off, &e));
+    if (!present && e == Slice(composite)) {
+      victim = at;
+      victim_end = off;
+      present = true;
+    }
+  }
+  if (!present) {
     return idempotent ? Status::OK()
                       : Status::NotFound("btree entry absent");
   }
-  leaf.entries.erase(it);
-  WriteLeaf(h.page(), leaf, PageLsn(*h.page()));
+  // Close the gap and zero the vacated tail, as a rewrite would leave it.
+  const size_t end = off;
+  const size_t width = victim_end - victim;
+  memmove(p->data + victim, p->data + victim_end, end - victim_end);
+  memset(p->data + end - width, 0, width);
+  SetEntryCount(p, static_cast<uint16_t>(n - 1));
+  ++mod_count_;
   h.MarkDirty();
   return Status::OK();
 }
 
 Status BTree::Lookup(const Slice& key, std::vector<std::string>* values) {
+  MutexLock lock(&mu_);
+  return LookupLocked(key, values);
+}
+
+Status BTree::LookupLocked(const Slice& key,
+                           std::vector<std::string>* values) {
   values->clear();
-  std::unique_ptr<BTreeIterator> it;
-  DMX_RETURN_IF_ERROR(
-      NewIterator(&it, BTreeComposeEntry(key, Slice()), true));
-  // The iterator position composite(key,"") sorts before all (key, v>"")
-  // and any equal entry (key,"") itself; use inclusive start.
-  std::string k, v;
-  while (true) {
-    Status s = it->Next(&k, &v);
-    if (s.IsNotFound()) break;
-    DMX_RETURN_IF_ERROR(s);
-    if (Slice(k) != key) break;
-    values->push_back(v);
+  // An entry holds `key` iff it starts with composite(key, ""): the
+  // escaped key never contains the 00 00 terminator.
+  const std::string prefix = BTreeComposeEntry(key, Slice());
+  PageId node;
+  DMX_RETURN_IF_ERROR(FindLeaf(prefix, &node));
+  // Matches may continue into the following leaves (duplicate keys).
+  while (node != kInvalidPageId) {
+    PageHandle h;
+    DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
+    const Page& p = *h.page();
+    size_t off = kEntriesOff;
+    for (uint16_t i = 0, n = EntryCount(p); i < n; ++i) {
+      Slice e;
+      DMX_RETURN_IF_ERROR(ReadLeafEntry(p, &off, &e));
+      if (e.compare(prefix) < 0) continue;
+      if (!e.starts_with(prefix)) return Status::OK();
+      values->emplace_back(e.data() + prefix.size(), e.size() - prefix.size());
+    }
+    node = NodeLink(p);
   }
   return Status::OK();
 }
@@ -419,17 +531,10 @@ Status BTree::NewIterator(std::unique_ptr<BTreeIterator>* it,
 
 Status BTree::Count(uint64_t* n) {
   *n = 0;
+  MutexLock lock(&mu_);
   PageId node;
-  DMX_RETURN_IF_ERROR(RootPage(&node));
-  // Descend to the leftmost leaf.
-  while (true) {
-    PageHandle h;
-    DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
-    if (NodeType(*h.page()) == kLeaf) break;
-    InternalNode in;
-    DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &in));
-    node = in.leftmost;
-  }
+  uint32_t height;
+  DMX_RETURN_IF_ERROR(LeftmostLeaf(&node, &height));
   while (node != kInvalidPageId) {
     PageHandle h;
     DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
@@ -441,16 +546,10 @@ Status BTree::Count(uint64_t* n) {
 
 Status BTree::LeafPages(uint64_t* n) {
   *n = 0;
+  MutexLock lock(&mu_);
   PageId node;
-  DMX_RETURN_IF_ERROR(RootPage(&node));
-  while (true) {
-    PageHandle h;
-    DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
-    if (NodeType(*h.page()) == kLeaf) break;
-    InternalNode in;
-    DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &in));
-    node = in.leftmost;
-  }
+  uint32_t height;
+  DMX_RETURN_IF_ERROR(LeftmostLeaf(&node, &height));
   while (node != kInvalidPageId) {
     PageHandle h;
     DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
@@ -466,6 +565,7 @@ Status BTree::SeparatorKeys(int target, std::vector<std::string>* seps) {
   // Breadth-first by level: any single internal level's separators are
   // globally sorted (left-to-right across siblings), so the first level
   // with enough of them is a valid cut set — no parent context needed.
+  MutexLock lock(&mu_);
   std::vector<PageId> level;
   PageId root;
   DMX_RETURN_IF_ERROR(RootPage(&root));
@@ -478,15 +578,18 @@ Status BTree::SeparatorKeys(int target, std::vector<std::string>* seps) {
     for (PageId id : level) {
       PageHandle h;
       DMX_RETURN_IF_ERROR(bp_->Fetch(id, &h));
-      if (NodeType(*h.page()) == kLeaf) {
+      const Page& p = *h.page();
+      if (NodeType(p) == kLeaf) {
         hit_leaf = true;
         break;
       }
-      InternalNode in;
-      DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &in));
-      next_level.push_back(in.leftmost);
-      for (auto& [sep, child] : in.entries) {
-        level_seps.push_back(std::move(sep));
+      next_level.push_back(NodeLink(p));
+      size_t off = kEntriesOff;
+      for (uint16_t i = 0, n = EntryCount(p); i < n; ++i) {
+        Slice sep;
+        PageId child;
+        DMX_RETURN_IF_ERROR(ReadInternalEntry(p, &off, &sep, &child));
+        level_seps.push_back(sep.ToString());
         next_level.push_back(child);
       }
     }
@@ -511,6 +614,7 @@ Status BTree::SeparatorKeys(int target, std::vector<std::string>* seps) {
 
 Status BTree::Verify(std::vector<std::string>* problems, uint64_t* entries) {
   *entries = 0;
+  MutexLock lock(&mu_);
   auto bad = [&](PageId id, const std::string& what) {
     problems->push_back("btree page " + std::to_string(id) + ": " + what);
   };
@@ -636,100 +740,61 @@ Status BTree::Verify(std::vector<std::string>* problems, uint64_t* entries) {
 }
 
 Status BTree::Height(uint32_t* height) {
-  *height = 1;
-  PageId node;
-  DMX_RETURN_IF_ERROR(RootPage(&node));
-  while (true) {
-    PageHandle h;
-    DMX_RETURN_IF_ERROR(bp_->Fetch(node, &h));
-    if (NodeType(*h.page()) == kLeaf) return Status::OK();
-    InternalNode in;
-    DMX_RETURN_IF_ERROR(ParseInternal(*h.page(), &in));
-    node = in.leftmost;
-    ++*height;
-  }
+  MutexLock lock(&mu_);
+  PageId leaf;
+  return LeftmostLeaf(&leaf, height);
 }
-
-namespace {
-bool g_leaf_cache_enabled = true;
-}  // namespace
-
-void BTreeIteratorSetLeafCacheEnabled(bool enabled) {
-  g_leaf_cache_enabled = enabled;
-}
-
-struct BTreeIterator::LeafCache {
-  PageId page_id = kInvalidPageId;
-  Page image;         // raw page bytes at parse time
-  LeafNode parsed;
-  size_t index = 0;   // next entry to serve
-};
 
 Status BTreeIterator::Next(std::string* key, std::string* value) {
-  if (!g_leaf_cache_enabled) cache_.reset();
-  // Fast path: the cached leaf still matches the on-disk image and has an
-  // unserved entry.
-  if (cache_ != nullptr && cache_->page_id != kInvalidPageId) {
-    PageHandle h;
-    Status s = tree_->bp_->Fetch(cache_->page_id, &h);
-    if (s.ok() &&
-        memcmp(h.page()->data, cache_->image.data, kPageSize) == 0) {
-      if (cache_->index < cache_->parsed.entries.size()) {
-        const std::string& entry = cache_->parsed.entries[cache_->index++];
-        DMX_RETURN_IF_ERROR(BTreeSplitEntry(Slice(entry), key, value));
-        pos_ = entry;
-        exclusive_ = true;
-        return Status::OK();
-      }
-      // Exhausted this leaf: hop to the next via the chain, below.
-    } else {
-      cache_.reset();  // leaf changed (or vanished): full re-descend
-    }
-  }
-
+  MutexLock lock(&tree_->mu_);
   PageId node;
-  if (cache_ != nullptr && cache_->page_id != kInvalidPageId &&
-      cache_->index >= cache_->parsed.entries.size()) {
-    node = cache_->parsed.next;
-    cache_.reset();
-  } else {
-    // Locate the leaf that would contain pos_. pos_ is a composite;
-    // FindLeaf wants (key, value) — decompose when possible, else treat
-    // the whole position as a key with empty value.
-    std::string pk, pv;
-    if (BTreeSplitEntry(Slice(pos_), &pk, &pv).ok()) {
-      DMX_RETURN_IF_ERROR(tree_->FindLeaf(Slice(pk), Slice(pv), &node));
-    } else {
-      DMX_RETURN_IF_ERROR(tree_->FindLeaf(Slice(pos_), Slice(), &node));
+  if (leaf_ != kInvalidPageId && mod_count_ == tree_->mod_count_) {
+    // The tree is unchanged since the last step: the next entry is the one
+    // at the cursor, or else the first of a following leaf.
+    PageHandle h;
+    DMX_RETURN_IF_ERROR(tree_->bp_->Fetch(leaf_, &h));
+    const Page& p = *h.page();
+    if (index_ < EntryCount(p)) {
+      size_t off = offset_;
+      Slice e;
+      DMX_RETURN_IF_ERROR(ReadLeafEntry(p, &off, &e));
+      return Take(e, leaf_, off, static_cast<uint16_t>(index_ + 1), key,
+                  value);
     }
+    node = NodeLink(p);
+  } else {
+    DMX_RETURN_IF_ERROR(tree_->FindLeaf(pos_, &node));
   }
   while (node != kInvalidPageId) {
     PageHandle h;
     DMX_RETURN_IF_ERROR(tree_->bp_->Fetch(node, &h));
-    LeafNode leaf;
-    DMX_RETURN_IF_ERROR(ParseLeaf(*h.page(), &leaf));
-    auto it = exclusive_
-                  ? std::upper_bound(leaf.entries.begin(), leaf.entries.end(),
-                                     pos_)
-                  : std::lower_bound(leaf.entries.begin(), leaf.entries.end(),
-                                     pos_);
-    if (it != leaf.entries.end()) {
-      DMX_RETURN_IF_ERROR(BTreeSplitEntry(Slice(*it), key, value));
-      pos_ = *it;
-      exclusive_ = true;
-      if (!g_leaf_cache_enabled) return Status::OK();
-      // Populate the cache for subsequent Next() calls.
-      cache_ = std::make_shared<LeafCache>();
-      cache_->page_id = node;
-      memcpy(cache_->image.data, h.page()->data, kPageSize);
-      cache_->index =
-          static_cast<size_t>(it - leaf.entries.begin()) + 1;
-      cache_->parsed = std::move(leaf);
-      return Status::OK();
+    const Page& p = *h.page();
+    size_t off = kEntriesOff;
+    for (uint16_t i = 0, n = EntryCount(p); i < n; ++i) {
+      Slice e;
+      DMX_RETURN_IF_ERROR(ReadLeafEntry(p, &off, &e));
+      int cmp = e.compare(pos_);
+      if (cmp > 0 || (cmp == 0 && !exclusive_)) {
+        return Take(e, node, off, static_cast<uint16_t>(i + 1), key, value);
+      }
     }
-    node = leaf.next;
+    node = NodeLink(p);
   }
+  leaf_ = kInvalidPageId;
   return Status::NotFound("end of btree");
+}
+
+Status BTreeIterator::Take(const Slice& entry, PageId leaf,
+                           size_t next_offset, uint16_t next_index,
+                           std::string* key, std::string* value) {
+  DMX_RETURN_IF_ERROR(BTreeSplitEntry(entry, key, value));
+  pos_.assign(entry.data(), entry.size());
+  exclusive_ = true;
+  leaf_ = leaf;
+  offset_ = next_offset;
+  index_ = next_index;
+  mod_count_ = tree_->mod_count_;
+  return Status::OK();
 }
 
 void BTreeIterator::SavePosition(std::string* out) const {
@@ -741,7 +806,7 @@ Status BTreeIterator::RestorePosition(const Slice& pos) {
   if (pos.empty()) return Status::InvalidArgument("empty btree position");
   exclusive_ = pos[0] != 0;
   pos_.assign(pos.data() + 1, pos.size() - 1);
-  cache_.reset();  // position moved: the cached cursor is meaningless
+  leaf_ = kInvalidPageId;  // position moved: the cursor is meaningless
   return Status::OK();
 }
 

@@ -8,8 +8,18 @@
 // descriptors reference) stores the current root page id, so root splits do
 // not mutate descriptors.
 //
-// Concurrency: callers serialize through the lock manager (record/relation
-// locks); the tree itself performs no latching beyond buffer-pool pins.
+// Nodes are read and modified in place in the pinned buffer frame: a
+// visit walks the length-prefixed entries of the page image and compares
+// them as Slices, and only the entries an operation returns are copied
+// out. Inserts that fit and removes shift the tail of the node with
+// memmove; only splits rewrite a node from a parsed copy.
+//
+// Concurrency: one latch per BTree object serializes every public
+// operation and every iterator step, so writer transactions that hold
+// different record locks can still share one tree (the counterpart of
+// the heap's per-relation page latch). The latch is held across buffer
+// pool calls (BTree::mu_ -> BufferPool::mu_) and never across a call out
+// of the tree. All users of one tree must share one BTree object.
 // Recovery: callers log *logical* operations; BTree::Insert/Remove are
 // idempotent (insert skips an already-present (key,value); remove of an
 // absent entry is a no-op success when `idempotent` is set), which makes
@@ -27,6 +37,7 @@
 #include "src/storage/buffer_pool.h"
 #include "src/util/slice.h"
 #include "src/util/status.h"
+#include "src/util/thread_annotations.h"
 
 namespace dmx {
 
@@ -41,6 +52,9 @@ class BTree {
   static Status Destroy(BufferPool* bp, PageId anchor);
 
   BTree(BufferPool* bp, PageId anchor) : bp_(bp), anchor_(anchor) {}
+
+  BTree(const BTree&) = delete;
+  BTree& operator=(const BTree&) = delete;
 
   /// Insert (key, value). If `unique` and an entry with equal key (any
   /// value) exists, fails with Constraint. If the exact (key, value) pair
@@ -94,13 +108,21 @@ class BTree {
  private:
   friend class BTreeIterator;
 
-  Status RootPage(PageId* root);
-  Status SetRootPage(PageId root);
-  /// Leaf that should contain `key`+`value`.
-  Status FindLeaf(const Slice& key, const Slice& value, PageId* leaf);
+  Status RootPage(PageId* root) REQUIRES(mu_);
+  Status SetRootPage(PageId root) REQUIRES(mu_);
+  /// Leaf whose key range holds the composite entry `composite`.
+  Status FindLeaf(const Slice& composite, PageId* leaf) REQUIRES(mu_);
+  /// Leftmost leaf, and the number of levels down to it (1 = root leaf).
+  Status LeftmostLeaf(PageId* leaf, uint32_t* height) REQUIRES(mu_);
+  Status LookupLocked(const Slice& key, std::vector<std::string>* values)
+      REQUIRES(mu_);
 
-  BufferPool* bp_;
-  PageId anchor_;
+  BufferPool* const bp_;
+  const PageId anchor_;
+  Mutex mu_;
+  /// Bumped by every modification; an iterator's in-leaf cursor is valid
+  /// only while this still has the value it saw.
+  uint64_t mod_count_ GUARDED_BY(mu_) = 0;
 };
 
 /// Key-sequential access over a BTree. Position = the composite
@@ -108,12 +130,12 @@ class BTree {
 /// strictly greater, so deletions at the position leave the iterator
 /// "just after" the deleted entry (the paper's scan semantics).
 ///
-/// Next() caches the current leaf (page id, raw image, parsed entries):
-/// while the on-disk leaf image is byte-identical to the cache, successive
-/// entries are served without re-descending or re-parsing; any
-/// modification of the leaf (including a delete at the position) is
-/// detected by the image comparison and falls back to a fresh descent,
-/// preserving the position semantics exactly.
+/// Between calls the iterator keeps a cursor into the leaf that held the
+/// position: the leaf's page id and the byte offset of its next entry.
+/// While the tree is unmodified, Next reads that entry straight from the
+/// pinned leaf. Any insert or remove in the tree (including a delete at
+/// the position) invalidates the cursor, and Next re-descends from the
+/// position instead, preserving the position semantics exactly.
 class BTreeIterator {
  public:
   BTreeIterator(BTree* tree, std::string position, bool position_exclusive)
@@ -129,18 +151,21 @@ class BTreeIterator {
   Status RestorePosition(const Slice& pos);
 
  private:
-  struct LeafCache;  // defined in btree_core.cc
+  /// Returns `entry` and moves the position and the cursor to it; the
+  /// next entry of `leaf` starts at `next_offset` and has `next_index`.
+  Status Take(const Slice& entry, PageId leaf, size_t next_offset,
+              uint16_t next_index, std::string* key, std::string* value)
+      REQUIRES(tree_->mu_);
 
   BTree* tree_;
   std::string pos_;  // composite (key,value) encoding of last returned
   bool exclusive_;   // if false, an entry equal to pos_ may be returned
-  std::shared_ptr<LeafCache> cache_;
+  // Cursor; meaningful only while tree_->mod_count_ == mod_count_.
+  PageId leaf_ = kInvalidPageId;
+  size_t offset_ = 0;
+  uint16_t index_ = 0;
+  uint64_t mod_count_ = 0;
 };
-
-/// Ablation toggle (benchmarks): disable the iterator's leaf cache so
-/// every Next() re-descends from the root and re-parses the leaf. Global;
-/// not for concurrent flipping.
-void BTreeIteratorSetLeafCacheEnabled(bool enabled);
 
 /// Composite entry encoding helpers (key + value, length-framed so the
 /// composite ordering equals (key, value) lexicographic ordering).

@@ -1,13 +1,15 @@
 // Direct tests of the shared page-based B+-tree (splits, duplicates,
-// uniqueness, iteration, position save/restore, persistence).
+// uniqueness, iteration, position save/restore, persistence, corrupt
+// nodes).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <random>
+#include <set>
 
 #include "src/sm/btree_core.h"
+#include "src/util/coding.h"
 #include "tests/test_util.h"
 
 namespace dmx {
@@ -172,6 +174,34 @@ TEST_F(BTreeTest, IteratorSurvivesDeleteAtPosition) {
   EXPECT_EQ(key, Key(1));
 }
 
+TEST_F(BTreeTest, ExclusiveLowBoundKeepsLongerKeysAcrossLeaves) {
+  // Scans with an exclusive low key start at composite(key, "") with its
+  // last terminator byte raised to 0x01: just past every entry of `key`.
+  // Entries of key "k\0" sort right after that position; here they fill
+  // several leaves, and the scan must start at the first of them.
+  const std::string k0("k\0", 2);
+  auto value = [](int i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "v%04d", i);
+    return std::string(buf) + std::string(100, 'x');
+  };
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(tree_->Insert(Slice(k0), Slice(value(i))).ok());
+  }
+  ASSERT_TRUE(tree_->Insert(Slice("k"), Slice("x")).ok());
+  uint64_t leaves = 0;
+  ASSERT_TRUE(tree_->LeafPages(&leaves).ok());
+  ASSERT_GT(leaves, 3u);
+  std::string low = BTreeComposeEntry(Slice("k"), Slice());
+  low.back() = '\x01';
+  std::unique_ptr<BTreeIterator> it;
+  ASSERT_TRUE(tree_->NewIterator(&it, low, true).ok());
+  std::string key, v;
+  ASSERT_TRUE(it->Next(&key, &v).ok());
+  EXPECT_EQ(key, k0);
+  EXPECT_EQ(v, value(0));
+}
+
 TEST_F(BTreeTest, IteratorPositionSaveRestore) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(tree_->Insert(Slice(Key(i)), Slice("v")).ok());
@@ -225,7 +255,51 @@ TEST_F(BTreeTest, DestroyFreesAllPages) {
   EXPECT_LE(pf_.page_count(), before + 2);
 }
 
-// Property test: random churn against a shadow multimap.
+TEST_F(BTreeTest, ScribbledLeafLengthPrefixIsCorruption) {
+  ASSERT_TRUE(tree_->Insert(Slice("a"), Slice("1")).ok());
+  ASSERT_TRUE(tree_->Insert(Slice("b"), Slice("2")).ok());
+  ASSERT_TRUE(tree_->Insert(Slice("c"), Slice("3")).ok());
+  PageId root;
+  {
+    PageHandle ah;
+    ASSERT_TRUE(bp_->Fetch(anchor_, &ah).ok());
+    root = DecodeFixed32(ah.page()->data + 8);
+  }
+  {
+    // The root is the only leaf. Rewrite the one-byte length prefix of its
+    // first entry as the varint 65535, which runs past the page end.
+    PageHandle h;
+    ASSERT_TRUE(bp_->Fetch(root, &h).ok());
+    char* data = h.page()->data;
+    const std::string first = BTreeComposeEntry(Slice("a"), Slice("1"));
+    char* at = std::search(data, data + kPageSize, first.begin(), first.end());
+    ASSERT_NE(at, data + kPageSize);
+    ASSERT_EQ(at[-1], static_cast<char>(first.size()));
+    at[-1] = '\xff';
+    at[0] = '\xff';
+    at[1] = '\x03';
+    h.MarkDirty();
+  }
+  std::vector<std::string> values;
+  EXPECT_TRUE(tree_->Lookup(Slice("a"), &values).IsCorruption());
+  EXPECT_TRUE(tree_->Lookup(Slice("c"), &values).IsCorruption());
+  EXPECT_TRUE(tree_->Insert(Slice("d"), Slice("4")).IsCorruption());
+  EXPECT_TRUE(tree_->Remove(Slice("b"), Slice("2")).IsCorruption());
+  std::unique_ptr<BTreeIterator> it;
+  ASSERT_TRUE(tree_->NewIterator(&it).ok());
+  std::string key, value;
+  EXPECT_TRUE(it->Next(&key, &value).IsCorruption());
+  std::vector<std::string> problems;
+  uint64_t entries = 0;
+  ASSERT_TRUE(tree_->Verify(&problems, &entries).ok());
+  EXPECT_FALSE(problems.empty());
+}
+
+// Property test: random churn against a shadow multimap, kept as a set of
+// (key, value) pairs since an exact duplicate is a no-op. Entries are
+// large (a few hundred bytes) so a few thousand of them build a tree of
+// three or more levels; keys carry embedded '\0' and '\xff' bytes, which
+// the composite encoding escapes.
 class BTreeChurn : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(BTreeChurn, MatchesShadowMultimap) {
@@ -237,46 +311,125 @@ TEST_P(BTreeChurn, MatchesShadowMultimap) {
   ASSERT_TRUE(BTree::Create(&bp, &anchor).ok());
   BTree tree(&bp, anchor);
 
+  auto make_key = [](uint32_t r) {
+    std::string key = "k" + std::to_string(r % 300);
+    key.insert(1, 1, r % 2 ? '\0' : '\xff');
+    if (r % 5 == 0) key.push_back('\0');
+    return key;
+  };
+  auto make_value = [](uint32_t id) {
+    std::string value = "v" + std::to_string(id);
+    value.push_back('\0');
+    value.append(250 + 20 * id, static_cast<char>('a' + id));
+    return value;
+  };
+
   std::mt19937 rng(GetParam());
-  std::multimap<std::string, std::string> shadow;
-  for (int step = 0; step < 4000; ++step) {
-    int action = static_cast<int>(rng() % 3);
-    std::string key = "k" + std::to_string(rng() % 200);
-    std::string value = "v" + std::to_string(rng() % 10);
+  // (key, value) pairs in tree order: composite order equals (key, value)
+  // lexicographic order.
+  std::set<std::pair<std::string, std::string>> shadow;
+  auto shadow_values = [&](const std::string& key) {
+    std::vector<std::string> out;
+    for (auto it = shadow.lower_bound({key, ""});
+         it != shadow.end() && it->first == key; ++it) {
+      out.push_back(it->second);
+    }
+    return out;
+  };
+
+  // A scan kept open across the churn: every step must return the first
+  // entry after its position, whatever happened to the tree in between.
+  std::unique_ptr<BTreeIterator> scan;
+  ASSERT_TRUE(tree.NewIterator(&scan).ok());
+  bool positioned = false;
+  std::pair<std::string, std::string> pos;
+  auto advance = [&]() {
+    auto expect = positioned ? shadow.upper_bound(pos) : shadow.begin();
+    std::string key, value;
+    Status s = scan->Next(&key, &value);
+    if (expect == shadow.end()) {
+      ASSERT_TRUE(s.IsNotFound()) << s.ToString();
+      ASSERT_TRUE(tree.NewIterator(&scan).ok());  // start over
+      positioned = false;
+      return;
+    }
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_EQ(key, expect->first);
+    ASSERT_EQ(value, expect->second);
+    pos = {key, value};
+    positioned = true;
+  };
+
+  for (int step = 0; step < 5000; ++step) {
+    uint32_t r = rng();
+    int action = static_cast<int>(r % 3);
+    std::string key = make_key(rng());
+    std::string value = make_value(rng() % 10);
     if (action < 2) {
-      // Insert; tolerate exact-duplicate no-ops.
-      bool dup = false;
-      auto [b, e] = shadow.equal_range(key);
-      for (auto it = b; it != e; ++it) dup |= it->second == value;
-      ASSERT_TRUE(tree.Insert(Slice(key), Slice(value)).ok());
-      if (!dup) shadow.emplace(key, value);
-    } else {
-      auto [b, e] = shadow.equal_range(key);
-      bool present = false;
-      for (auto it = b; it != e; ++it) {
-        if (it->second == value) {
-          shadow.erase(it);
-          present = true;
-          break;
-        }
+      bool unique = r % 8 == 0;
+      std::vector<std::string> existing = shadow_values(key);
+      bool conflict = false;
+      for (const std::string& v : existing) conflict |= v != value;
+      Status s = tree.Insert(Slice(key), Slice(value), unique);
+      if (unique && conflict) {
+        ASSERT_TRUE(s.IsConstraint()) << s.ToString();
+      } else {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        shadow.emplace(key, value);  // no-op for an exact duplicate
       }
+    } else {
+      bool present = shadow.erase({key, value}) > 0;
       Status s = tree.Remove(Slice(key), Slice(value));
-      EXPECT_EQ(s.ok(), present) << key << "/" << value;
+      EXPECT_EQ(s.ok(), present) << step;
+    }
+    if (step % 25 == 0) {
+      std::string probe = make_key(rng());
+      std::vector<std::string> values;
+      ASSERT_TRUE(tree.Lookup(Slice(probe), &values).ok());
+      ASSERT_EQ(values, shadow_values(probe)) << step;
+    }
+    if (step % 5 == 0) {
+      ASSERT_NO_FATAL_FAILURE(advance());
+    }
+    if (step % 100 == 50 && positioned) {
+      // Delete the entry at the scan position: the scan resumes just
+      // after it.
+      ASSERT_TRUE(tree.Remove(Slice(pos.first), Slice(pos.second)).ok());
+      shadow.erase(pos);
+      ASSERT_NO_FATAL_FAILURE(advance());
+    }
+    if (step % 100 == 75 && positioned) {
+      // Insert right after the position, on the same leaf: the scan
+      // returns it next.
+      std::string next_value = pos.second + '\x01';
+      ASSERT_TRUE(tree.Insert(Slice(pos.first), Slice(next_value)).ok());
+      shadow.emplace(pos.first, next_value);
+      ASSERT_NO_FATAL_FAILURE(advance());
+      ASSERT_EQ(pos.second, next_value);
     }
   }
+  uint32_t height = 0;
+  ASSERT_TRUE(tree.Height(&height).ok());
+  EXPECT_GE(height, 3u);
+
   // Full comparison via iteration.
   std::unique_ptr<BTreeIterator> it;
   ASSERT_TRUE(tree.NewIterator(&it).ok());
   std::string key, value;
-  size_t n = 0;
+  auto expect = shadow.begin();
   while (it->Next(&key, &value).ok()) {
-    auto [b, e] = shadow.equal_range(key);
-    bool found = false;
-    for (auto sit = b; sit != e; ++sit) found |= sit->second == value;
-    EXPECT_TRUE(found) << key << "/" << value;
-    ++n;
+    ASSERT_NE(expect, shadow.end());
+    EXPECT_EQ(key, expect->first);
+    EXPECT_EQ(value, expect->second);
+    ++expect;
   }
-  EXPECT_EQ(n, shadow.size());
+  EXPECT_EQ(expect, shadow.end());
+
+  std::vector<std::string> problems;
+  uint64_t entries = 0;
+  ASSERT_TRUE(tree.Verify(&problems, &entries).ok());
+  for (const std::string& p : problems) ADD_FAILURE() << p;
+  EXPECT_EQ(entries, shadow.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeChurn,

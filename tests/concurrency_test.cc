@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "src/core/database.h"
+#include "src/sm/key_codec.h"
 #include "tests/test_util.h"
 
 namespace dmx {
@@ -65,6 +66,74 @@ TEST_F(ConcurrencyTest, ParallelInsertersAllLand) {
   ASSERT_TRUE(db_->CountRecords(check, desc, &n).ok());
   EXPECT_EQ(n, static_cast<uint64_t>(kThreads * kPerThread));
   db_->Commit(check);
+}
+
+TEST_F(ConcurrencyTest, ParallelInsertersShareOneBTreeIndex) {
+  // Two writers hold different record locks but insert into the same
+  // B-trees (a unique index on id, a duplicate-heavy one on n): the
+  // tree's own latch must keep every leaf and split intact.
+  uint32_t by_id = 0;
+  Transaction* txn = db_->Begin();
+  ASSERT_TRUE(db_->CreateAttachment(txn, "counters", "btree_index",
+                                    {{"fields", "id"}, {"unique", "1"}},
+                                    &by_id)
+                  .ok());
+  ASSERT_TRUE(db_->CreateAttachment(txn, "counters", "btree_index",
+                                    {{"fields", "n"}})
+                  .ok());
+  // Opens the attachment state before the writers race on it.
+  ASSERT_TRUE(
+      db_->Insert(txn, "counters", {Value::Int(-1), Value::Int(0)}).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+
+  constexpr int kThreads = 2, kPerThread = 3000, kPerTxn = 10;
+  std::vector<std::thread> threads;
+  std::vector<std::string> errors(kThreads);  // each writer's first failure
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; i += kPerTxn) {
+        Transaction* w = db_->Begin();
+        Status s;
+        for (int j = i; j < i + kPerTxn && s.ok(); ++j) {
+          s = db_->Insert(w, "counters",
+                          {Value::Int(j * kThreads + t), Value::Int(j % 7)});
+        }
+        if (!s.ok()) {
+          (void)db_->Abort(w);  // the insert failure is what gets reported
+        } else {
+          s = db_->Commit(w);  // a failed commit has already ended `w`
+        }
+        if (!s.ok() && errors[t].empty()) errors[t] = s.ToString();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const std::string& e : errors) EXPECT_EQ(e, "");
+
+  const uint64_t total = kThreads * kPerThread + 1;
+  Transaction* check = db_->Begin();
+  CheckResult result;
+  ASSERT_TRUE(db_->CheckRelation(check, "counters", &result).ok());
+  EXPECT_TRUE(result.clean);
+  for (const CheckFinding& f : result.findings) {
+    ADD_FAILURE() << f.component << ": " << f.detail;
+  }
+  const RelationDescriptor* desc;
+  ASSERT_TRUE(db_->FindRelation("counters", &desc).ok());
+  uint64_t n = 0;
+  ASSERT_TRUE(db_->CountRecords(check, desc, &n).ok());
+  EXPECT_EQ(n, total);
+  const AccessPathId path = AccessPathId::Attachment(
+      static_cast<AtId>(db_->registry()->FindAttachmentType("btree_index")),
+      by_id);
+  for (int id = 0; id < kThreads * kPerThread; id += 97) {
+    std::string probe;
+    ASSERT_TRUE(EncodeValueKey({Value::Int(id)}, &probe).ok());
+    std::vector<std::string> keys;
+    ASSERT_TRUE(db_->Lookup(check, "counters", path, Slice(probe), &keys).ok());
+    EXPECT_EQ(keys.size(), 1u) << id;
+  }
+  ASSERT_TRUE(db_->Commit(check).ok());
 }
 
 TEST_F(ConcurrencyTest, LostUpdatePreventedByRecordLocks) {

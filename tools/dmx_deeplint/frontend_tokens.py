@@ -187,6 +187,8 @@ class TokenFrontend:
         j = i
         while j < n:
             t = toks[j]
+            if t.text == "operator" and name_chain is None:
+                return self._skip_operator(toks, j)
             if t.text == ";":
                 if cls is not None and name_chain is None:
                     self._record_member(cls, toks[start:j])
@@ -293,6 +295,24 @@ class TokenFrontend:
                 return j + 1
             j += 1
         return n
+
+    def _skip_operator(self, toks, j):
+        """Skip an operator declaration or definition starting at the
+        `operator` token. Its symbol is part of the name: the `=` of
+        `operator=` must not be read as an initializer, which would
+        swallow every definition up to the next top-level `;`."""
+        n = len(toks)
+        k = j + 1
+        if k + 1 < n and toks[k].text == "(" and toks[k + 1].text == ")":
+            k += 2  # operator()
+        while k < n and toks[k].text != "(":
+            k += 1
+        k = self._skip_balanced(toks, k, "(", ")")
+        while k < n and toks[k].text not in (";", "{"):
+            k += 1
+        if k < n and toks[k].text == "{":
+            return self._skip_balanced(toks, k, "{", "}")
+        return k + 1
 
     def _chain_before(self, toks, paren, limit):
         """Name chain `A::B::name` ending right before toks[paren]."""
