@@ -33,13 +33,11 @@ namespace {
 /// repeated runs keep appending fresh keys.
 class ModeDb {
  public:
-  ModeDb(bool group_commit, Durability durability, uint64_t window_us = 0)
-      : dir_("group_commit") {
+  ModeDb(bool group_commit, Durability durability) : dir_("group_commit") {
     DatabaseOptions options;
     options.dir = dir_.path() + "/db";
     options.group_commit = group_commit;
     options.durability = durability;
-    options.group_commit_window_us = window_us;
     BenchCheck(Database::Open(options, &db_), "open");
     Transaction* ddl = db_->Begin();
     Schema schema({{"k", TypeId::kInt64, false},
@@ -66,15 +64,6 @@ ModeDb* GroupDb() {
 
 ModeDb* LegacyDb() {
   static ModeDb* fixture = new ModeDb(false, Durability::kStrict);
-  return fixture;
-}
-
-ModeDb* GroupWindowDb() {
-  // A short batching window makes the leader linger for stragglers
-  // (sibling-gated, quiet-gap early exit), widening the batch at some
-  // commit latency cost.
-  static ModeDb* fixture =
-      new ModeDb(true, Durability::kStrict, /*window_us=*/200);
   return fixture;
 }
 
@@ -117,15 +106,6 @@ BENCHMARK(BM_CommitGroup)
     ->Threads(8)
     ->Threads(16)
     ->Threads(32)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_CommitGroupWindow(benchmark::State& state) {
-  CommitLoop(state, GroupWindowDb());
-}
-BENCHMARK(BM_CommitGroupWindow)
-    ->Threads(1)
-    ->Threads(16)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

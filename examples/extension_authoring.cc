@@ -307,12 +307,17 @@ int main() {
   options.dir = "/tmp/dmx_authoring";
   system(("rm -rf " + options.dir).c_str());
   // "At the factory": user extensions register before recovery runs.
+  // Registration checks each vector whole and refuses an incomplete one;
+  // returning its Status makes Database::Open fail with it.
   options.register_extensions = [](ExtensionRegistry* registry) {
-    SmId sm = registry->RegisterStorageMethod(StripedOps());
-    AtId at = registry->RegisterAttachmentType(AuditOps());
+    SmId sm = 0;
+    AtId at = 0;
+    DMX_RETURN_IF_ERROR(registry->RegisterStorageMethod(StripedOps(), &sm));
+    DMX_RETURN_IF_ERROR(registry->RegisterAttachmentType(AuditOps(), &at));
     printf("registered storage method 'striped' as id %u, attachment "
            "'audit' as id %u\n",
            sm, at);
+    return Status::OK();
   };
   std::unique_ptr<Database> db;
   Check(Database::Open(options, &db), "open");

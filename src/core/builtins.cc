@@ -25,26 +25,30 @@
 
 namespace dmx {
 
-void RegisterBuiltinExtensions(ExtensionRegistry* registry) {
+Status RegisterBuiltinExtensions(ExtensionRegistry* registry) {
   // Storage methods: heap = 0, temp = 1 (as in the paper), ...
-  registry->RegisterStorageMethod(HeapStorageMethodOps());
-  registry->RegisterStorageMethod(TempStorageMethodOps());
-  registry->RegisterStorageMethod(MainMemoryStorageMethodOps());
-  registry->RegisterStorageMethod(BTreeStorageMethodOps());
-  registry->RegisterStorageMethod(AppendOnlyStorageMethodOps());
-  registry->RegisterStorageMethod(ForeignStorageMethodOps());
+  DMX_RETURN_IF_ERROR(registry->RegisterStorageMethod(HeapStorageMethodOps()));
+  DMX_RETURN_IF_ERROR(registry->RegisterStorageMethod(TempStorageMethodOps()));
+  DMX_RETURN_IF_ERROR(
+      registry->RegisterStorageMethod(MainMemoryStorageMethodOps()));
+  DMX_RETURN_IF_ERROR(registry->RegisterStorageMethod(BTreeStorageMethodOps()));
+  DMX_RETURN_IF_ERROR(
+      registry->RegisterStorageMethod(AppendOnlyStorageMethodOps()));
+  DMX_RETURN_IF_ERROR(
+      registry->RegisterStorageMethod(ForeignStorageMethodOps()));
 
   // Attachment types (identifier = relation-descriptor field number).
-  registry->RegisterAttachmentType(BTreeIndexOps());
-  registry->RegisterAttachmentType(HashIndexOps());
-  registry->RegisterAttachmentType(RTreeIndexOps());
-  registry->RegisterAttachmentType(CheckConstraintOps());
-  registry->RegisterAttachmentType(UniqueConstraintOps());
-  registry->RegisterAttachmentType(RefIntegrityOps());
-  registry->RegisterAttachmentType(TriggerOps());
-  registry->RegisterAttachmentType(JoinIndexOps());
-  registry->RegisterAttachmentType(StatsOps());
-  registry->RegisterAttachmentType(DeferredCheckOps());
+  DMX_RETURN_IF_ERROR(registry->RegisterAttachmentType(BTreeIndexOps()));
+  DMX_RETURN_IF_ERROR(registry->RegisterAttachmentType(HashIndexOps()));
+  DMX_RETURN_IF_ERROR(registry->RegisterAttachmentType(RTreeIndexOps()));
+  DMX_RETURN_IF_ERROR(registry->RegisterAttachmentType(CheckConstraintOps()));
+  DMX_RETURN_IF_ERROR(registry->RegisterAttachmentType(UniqueConstraintOps()));
+  DMX_RETURN_IF_ERROR(registry->RegisterAttachmentType(RefIntegrityOps()));
+  DMX_RETURN_IF_ERROR(registry->RegisterAttachmentType(TriggerOps()));
+  DMX_RETURN_IF_ERROR(registry->RegisterAttachmentType(JoinIndexOps()));
+  DMX_RETURN_IF_ERROR(registry->RegisterAttachmentType(StatsOps()));
+  DMX_RETURN_IF_ERROR(registry->RegisterAttachmentType(DeferredCheckOps()));
+  return Status::OK();
 }
 
 }  // namespace dmx

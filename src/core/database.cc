@@ -12,8 +12,7 @@ namespace {
 constexpr uint32_t kAllInstances = UINT32_MAX;
 
 std::string ComponentName(const AtOps& ops, uint32_t instance) {
-  return std::string(ops.name != nullptr ? ops.name : "attachment") + "#" +
-         std::to_string(instance);
+  return std::string(ops.name) + "#" + std::to_string(instance);
 }
 }  // namespace
 
@@ -25,6 +24,13 @@ Status Database::Open(const DatabaseOptions& options,
                             ? options.worker_threads
                             : std::thread::hardware_concurrency();
   if (db->worker_threads_ == 0) db->worker_threads_ = 1;
+  // "At the factory": install procedure vectors before any dispatch — and
+  // before any I/O, so a refused extension leaves nothing behind.
+  DMX_RETURN_IF_ERROR(RegisterBuiltinExtensions(&db->registry_));
+  if (options.register_extensions) {
+    DMX_RETURN_IF_ERROR(options.register_extensions(&db->registry_));
+  }
+  db->ResolveDispatchMetrics();
   // All durable I/O goes through the retry wrapper: short transient bursts
   // (EINTR, ENOSPC, injected transient faults) are absorbed here and never
   // surface as operation failures.
@@ -46,8 +52,6 @@ Status Database::Open(const DatabaseOptions& options,
   db->log_.SetRetainSegments(!options.wal_archive_dir.empty());
   DMX_RETURN_IF_ERROR(db->log_.Open(options.dir + "/wal", true, db->env_));
   db->log_.SetGroupCommit(options.group_commit);
-  db->log_.SetGroupCommitWindow(options.group_commit_window_us,
-                                options.group_commit_max_batch);
   LogManager* log = &db->log_;
   db->buffer_pool_ = std::make_unique<BufferPool>(
       &db->page_file_, options.buffer_pool_pages,
@@ -75,11 +79,6 @@ Status Database::Open(const DatabaseOptions& options,
       [raw](const std::string& where, const Status& cause) {
         raw->error_handler_->ReportWriteFailure(where, cause);
       });
-
-  // "At the factory": install procedure vectors before any dispatch.
-  RegisterBuiltinExtensions(&db->registry_);
-  if (options.register_extensions) options.register_extensions(&db->registry_);
-  db->ResolveDispatchMetrics();
 
   DMX_RETURN_IF_ERROR(db->catalog_.Load(options.dir + "/catalog", db->env_));
 
@@ -153,17 +152,15 @@ void Database::ResolveDispatchMetrics() {
   MetricsRegistry* metrics = MetricsRegistry::Global();
   sm_metrics_.clear();
   for (size_t id = 0; id < registry_.num_storage_methods(); ++id) {
-    const char* name = registry_.sm_ops(static_cast<SmId>(id)).name;
     std::string base = "sm." + std::to_string(id) + "." +
-                       (name != nullptr ? name : "anonymous");
+                       registry_.sm_ops(static_cast<SmId>(id)).name;
     sm_metrics_.push_back({metrics->GetCounter(base + ".calls"),
                            metrics->GetHistogram(base + ".call_ns")});
   }
   at_metrics_.clear();
   for (size_t id = 0; id < registry_.num_attachment_types(); ++id) {
-    const char* name = registry_.at_ops(static_cast<AtId>(id)).name;
     std::string base = "at." + std::to_string(id) + "." +
-                       (name != nullptr ? name : "anonymous");
+                       registry_.at_ops(static_cast<AtId>(id)).name;
     at_metrics_.push_back({metrics->GetCounter(base + ".calls"),
                            metrics->GetHistogram(base + ".call_ns")});
   }
@@ -304,12 +301,10 @@ Status Database::MakeSmContext(Transaction* txn,
   ctx->txn = txn;
   ctx->desc = desc;
   if (rt->sm_state == nullptr) {
-    const SmOps& ops = registry_.sm_ops(desc->sm_id);
-    if (ops.open != nullptr) {
-      SmContext open_ctx = *ctx;
-      open_ctx.state = nullptr;
-      DMX_RETURN_IF_ERROR(ops.open(open_ctx, &rt->sm_state));
-    }
+    SmContext open_ctx = *ctx;
+    open_ctx.state = nullptr;
+    DMX_RETURN_IF_ERROR(
+        registry_.sm_ops(desc->sm_id).open(open_ctx, &rt->sm_state));
   }
   ctx->state = rt->sm_state.get();
   return Status::OK();
@@ -325,12 +320,10 @@ Status Database::MakeAtContext(Transaction* txn,
   ctx->at_id = at;
   ctx->at_desc = Slice(desc->at_desc[at]);
   if (rt->at_state[at] == nullptr) {
-    const AtOps& ops = registry_.at_ops(at);
-    if (ops.open != nullptr) {
-      AtContext open_ctx = *ctx;
-      open_ctx.state = nullptr;
-      DMX_RETURN_IF_ERROR(ops.open(open_ctx, &rt->at_state[at]));
-    }
+    AtContext open_ctx = *ctx;
+    open_ctx.state = nullptr;
+    DMX_RETURN_IF_ERROR(
+        registry_.at_ops(at).open(open_ctx, &rt->at_state[at]));
   }
   ctx->state = rt->at_state[at].get();
   return Status::OK();
@@ -412,7 +405,7 @@ Status Database::CreateRelation(Transaction* txn, const std::string& name,
     const SmOps& sm_ops = registry_.sm_ops(d->sm_id);
     SmContext drop_ctx;
     Status st = MakeSmContext(t, d, &drop_ctx);
-    if (st.ok() && sm_ops.drop != nullptr) st = sm_ops.drop(drop_ctx);
+    if (st.ok()) st = sm_ops.drop(drop_ctx);
     // Undoing our own add: the entry is present, so this cannot fail in a
     // way the abort could act on.
     (void)catalog_.RemoveRelation(id, nullptr);
@@ -462,12 +455,10 @@ Status Database::DropRelation(Transaction* txn, const std::string& name) {
         }
       }
       const SmOps& sops = registry_.sm_ops(d->sm_id);
-      if (sops.drop != nullptr) {
-        SmContext sctx;
-        if (MakeSmContext(t, d, &sctx).ok()) {
-          Status ds = sops.drop(sctx);
-          if (release.ok()) release = ds;
-        }
+      SmContext sctx;
+      if (MakeSmContext(t, d, &sctx).ok()) {
+        Status ds = sops.drop(sctx);
+        if (release.ok()) release = ds;
       }
       // Removing the #dropping# descriptor we just restored cannot fail
       // in a way the commit could act on.
@@ -869,7 +860,6 @@ Status Database::NotifyAttachments(Transaction* txn,
     Status s;
     switch (op) {
       case 0:
-        if (ops.on_insert == nullptr) continue;
         stats_.at_calls.Increment();
         at_metrics_[at].calls->Increment();
         {
@@ -878,7 +868,6 @@ Status Database::NotifyAttachments(Transaction* txn,
         }
         break;
       case 1:
-        if (ops.on_update == nullptr) continue;
         stats_.at_calls.Increment();
         at_metrics_[at].calls->Increment();
         {
@@ -1042,9 +1031,6 @@ Status Database::EstimateCost(Transaction* txn,
     const SmOps& sm = registry_.sm_ops(desc->sm_id);
     SmContext ctx;
     DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
-    if (sm.cost == nullptr) {
-      return Status::NotSupported("storage method has no cost estimator");
-    }
     return sm.cost(ctx, predicates, out);
   }
   AtId at = path.at_id();
@@ -1065,14 +1051,9 @@ Status Database::EstimateCost(Transaction* txn,
 Status Database::CountRecords(Transaction* txn,
                               const RelationDescriptor* desc,
                               uint64_t* count) {
-  const SmOps& sm = registry_.sm_ops(desc->sm_id);
-  if (sm.count == nullptr) {
-    *count = 0;
-    return Status::OK();
-  }
   SmContext ctx;
   DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
-  return sm.count(ctx, count);
+  return registry_.sm_ops(desc->sm_id).count(ctx, count);
 }
 
 // -- corruption containment ------------------------------------------------------
@@ -1204,7 +1185,7 @@ Status Database::CheckRelation(Transaction* txn, const std::string& rel,
 
   // Storage-method structural sweep.
   const SmOps& sm = registry_.sm_ops(desc->sm_id);
-  if (sm.verify != nullptr) {
+  {
     SmContext ctx;
     DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
     VerifyReport report;
@@ -1246,12 +1227,11 @@ Status Database::CheckRelation(Transaction* txn, const std::string& rel,
       Status ls = ops.list_instances(Slice(desc->at_desc[at]), &instances);
       if (!ls.ok()) {
         out->findings.push_back(
-            {std::string(ops.name != nullptr ? ops.name : "attachment"),
+            {std::string(ops.name),
              "cannot enumerate instances: " + ls.ToString()});
         continue;
       }
-    } else if (ops.instance_count != nullptr &&
-               ops.instance_count(Slice(desc->at_desc[at])) == 0) {
+    } else if (ops.instance_count(Slice(desc->at_desc[at])) == 0) {
       continue;
     } else {
       instances.push_back(kAllInstances);
@@ -1353,13 +1333,10 @@ Status Database::RepairRelation(Transaction* txn, const std::string& rel,
   // and lift the quarantine only if the sweep now comes back clean.
   if (desc->sm_quarantined) {
     const SmOps& sm = registry_.sm_ops(desc->sm_id);
+    SmContext ctx;
+    DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
     VerifyReport report;
-    Status vs = Status::NotSupported("storage method has no verify");
-    if (sm.verify != nullptr) {
-      SmContext ctx;
-      DMX_RETURN_IF_ERROR(MakeSmContext(txn, desc, &ctx));
-      vs = sm.verify(ctx, &report);
-    }
+    Status vs = sm.verify(ctx, &report);
     if (vs.ok() && report.clean()) {
       const std::string reason = desc->sm_quarantine_reason;
       DMX_RETURN_IF_ERROR(

@@ -63,8 +63,9 @@ struct DatabaseOptions {
   uint64_t lock_timeout_ms = 2000;
   /// Hook to register user extensions "at the factory" — runs after the
   /// built-ins are registered and before restart recovery, so recovery can
-  /// dispatch into them.
-  std::function<void(ExtensionRegistry*)> register_extensions;
+  /// dispatch into them. A non-OK return (e.g. a Register* call refusing
+  /// an incomplete vector) fails Open with that status.
+  std::function<Status(ExtensionRegistry*)> register_extensions;
   /// Bounded retry for transient I/O failures (ENOSPC bursts, injected
   /// transient faults) at the Env layer; options.env is wrapped in a
   /// RetryingEnv with this many total attempts. 1 disables retrying.
@@ -84,11 +85,6 @@ struct DatabaseOptions {
   /// path. Off = the legacy fsync-per-commit protocol (benchmarks use
   /// this as the baseline; there is no other reason to disable it).
   bool group_commit = true;
-  /// How long a group-commit leader lingers for stragglers before paying
-  /// the fsync, and the batch size that ends the wait early. 0 (default)
-  /// = no artificial delay: batches form naturally from fsync latency.
-  uint64_t group_commit_window_us = 0;
-  uint32_t group_commit_max_batch = 64;
   /// Cadence of the background flusher that makes relaxed commits
   /// durable. 0 disables the flusher thread (relaxed commits then become
   /// durable only when a strict flush or checkpoint happens to run).
@@ -128,7 +124,7 @@ struct RestoreOptions {
   Env* env = nullptr;
   /// User extensions the WAL may dispatch into during replay (same
   /// contract as DatabaseOptions::register_extensions).
-  std::function<void(ExtensionRegistry*)> register_extensions;
+  std::function<Status(ExtensionRegistry*)> register_extensions;
 };
 
 /// Identifies an access path for data access operations. "Access path
@@ -560,8 +556,9 @@ class Database {
 /// the library (heap, temp, mainmemory, btree, appendonly, foreign; btree
 /// index, hash index, rtree index, check constraint, unique, refint,
 /// trigger, join index, stats, deferred check). Implemented across the
-/// sm/ and attach/ modules.
-void RegisterBuiltinExtensions(ExtensionRegistry* registry);
+/// sm/ and attach/ modules. Fails only if a built-in vector breaks the
+/// registration contract (ExtensionRegistry::RegisterStorageMethod).
+Status RegisterBuiltinExtensions(ExtensionRegistry* registry);
 
 }  // namespace dmx
 

@@ -12,6 +12,10 @@
 // into the binary and install their operation tables at database startup.
 // Identifiers are assigned in registration order; the registry is frozen
 // before transactions run, so dispatch needs no synchronization.
+//
+// Because dispatch is a bare vector index, registration is where the
+// extension contract is enforced: a vector with a missing entry point is
+// refused here instead of surfacing as a null call at run time.
 
 #ifndef DMX_CORE_REGISTRY_H_
 #define DMX_CORE_REGISTRY_H_
@@ -27,13 +31,25 @@ class ExtensionRegistry {
  public:
   ExtensionRegistry() = default;
 
-  /// Install a storage method's entry points; returns its SmId (its index
-  /// in the storage-method procedure vectors).
-  SmId RegisterStorageMethod(const SmOps& ops);
+  /// Install a storage method's entry points. On success *id (when
+  /// non-null) receives its SmId, its index in the storage-method procedure
+  /// vectors. Refused with InvalidArgument, naming the extension and the
+  /// entry point, unless the name is non-empty and unique and validate,
+  /// create, drop, open, insert, update, erase, fetch, open_scan, cost,
+  /// undo, redo, count and verify are all set. A refused vector leaves the
+  /// registry unchanged.
+  Status RegisterStorageMethod(const SmOps& ops, SmId* id = nullptr);
 
-  /// Install an attachment type's entry points; returns its AtId (its
-  /// procedure-vector index *and* its relation-descriptor field number).
-  AtId RegisterAttachmentType(const AtOps& ops);
+  /// Install an attachment type's entry points. On success *id (when
+  /// non-null) receives its AtId, its procedure-vector index *and* its
+  /// relation-descriptor field number. Refused with InvalidArgument, leaving
+  /// the registry unchanged, unless the name is non-empty and unique, fewer
+  /// than kMaxAttachmentTypes types are registered, create_instance,
+  /// drop_instance, open, instance_count, on_insert and on_update are set,
+  /// undo and redo are set together, and lookup or open_scan comes with
+  /// list_instances, repair_instance with release_instance and
+  /// guards_integrity with verify.
+  Status RegisterAttachmentType(const AtOps& ops, AtId* id = nullptr);
 
   /// O(1) dispatch: index the vector with the identifier from the relation
   /// descriptor.

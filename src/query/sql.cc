@@ -574,16 +574,12 @@ class SqlExecutor {
     if (session_->txn_ != nullptr) return fn(session_->txn_);
     Transaction* txn = BeginSessionTxn();
     Status s = fn(txn);
-    if (s.ok()) {
-      s = db_->Commit(txn);
-      if (s.ok()) return s;
-      // A failed commit (e.g. WAL I/O failure degrading the database) leaves
-      // the transaction active and holding locks; release them — the commit
-      // error is what the caller must see, and the txn cannot be retried.
+    if (!s.ok()) {
+      (void)db_->Abort(txn);  // the statement's failure is what to report
+      return s;
     }
-    // Drop the failed txn's locks; s already records the commit error.
-    if (txn->active()) (void)db_->Abort(txn);
-    return s;
+    // A failed Commit has already rolled the transaction back and freed it.
+    return db_->Commit(txn);
   }
 
   Status Begin(QueryResult* result) {
@@ -601,13 +597,8 @@ class SqlExecutor {
     }
     Transaction* txn = session_->txn_;
     session_->txn_ = nullptr;
-    Status s = db_->Commit(txn);
-    if (!s.ok()) {
-      // The session has already detached the txn and a failed commit cannot
-      // be retried; abort so its locks don't outlive the statement.
-      if (txn->active()) (void)db_->Abort(txn);
-      return s;
-    }
+    // A failed Commit has already rolled the transaction back and freed it.
+    DMX_RETURN_IF_ERROR(db_->Commit(txn));
     result->message = "COMMIT";
     return Status::OK();
   }
@@ -875,13 +866,10 @@ class SqlExecutor {
     for (AtId at = 0; at < db_->registry()->num_attachment_types(); ++at) {
       if (!desc->HasAttachment(at)) continue;
       const AtOps& ops = db_->registry()->at_ops(at);
-      std::string detail = "descriptor field " + std::to_string(at);
-      if (ops.instance_count != nullptr) {
-        detail += ", " +
-                  std::to_string(ops.instance_count(
-                      Slice(desc->at_desc[at]))) +
-                  " instance(s)";
-      }
+      std::string detail =
+          "descriptor field " + std::to_string(at) + ", " +
+          std::to_string(ops.instance_count(Slice(desc->at_desc[at]))) +
+          " instance(s)";
       add(std::string("attachment ") + ops.name, detail);
     }
     if (desc->sm_quarantined) {

@@ -65,8 +65,9 @@ Status Resolve(ForeignState* st, Database** fdb,
     // An unreachable foreign server is transient-fatal-to-op: the local
     // environment is healthy, so this IOError is deliberately
     // non-retryable and never trips degraded mode.
-    return Status::IOError(  // dmx-lint: allow-raw-ioerror (no Env beneath)
-        "foreign server '" + st->server + "' unreachable");
+    // deeplint: allow(status-discipline, no Env beneath a foreign server)
+    return Status::IOError("foreign server '" + st->server +
+                           "' unreachable");
   }
   return (*fdb)->FindRelation(st->relation, fdesc);
 }

@@ -67,8 +67,7 @@ Status TransactionManager::Commit(Transaction* txn) {
   Status pre = txn->RunDeferred(TxnEvent::kBeforePrepare,
                                 /*stop_on_error=*/true);
   if (!pre.ok()) {
-    Status abort_status = Abort(txn);
-    if (!abort_status.ok()) return abort_status;
+    DMX_RETURN_IF_ERROR(Abort(txn));
     return pre;
   }
 
@@ -86,9 +85,8 @@ Status TransactionManager::Commit(Transaction* txn) {
     // still cleanly abortable. Relaxed: acknowledge at append — the
     // background group flusher makes it durable shortly after; a crash in
     // that window loses the commit, which is the contract the session
-    // opted into. Either way the caller decides between retrying and
-    // Abort; we only report the outage so the ErrorHandler can degrade
-    // and start recovery.
+    // opted into. Either way a failure is reported so the ErrorHandler
+    // can degrade and start recovery, and the transaction rolls back.
     Status forced;
     if (txn->relaxed_durability()) {
       forced = log_->AppendCommitRelaxed(&commit);
@@ -101,7 +99,10 @@ Status TransactionManager::Commit(Transaction* txn) {
         wal_failure_("wal commit force", forced);
       }
     }
-    if (!forced.ok()) return forced;
+    if (!forced.ok()) {
+      DMX_RETURN_IF_ERROR(Abort(txn));
+      return forced;
+    }
     txn->set_last_lsn(commit.lsn);
   }
   txn->state_ = TxnState::kCommitted;

@@ -72,9 +72,18 @@ class TransactionManager {
   /// transaction ends (manager-owned).
   Transaction* Begin();
 
-  /// Commit: runs before-prepare deferred actions (a failure here aborts
-  /// and returns that failure), forces the log, runs commit deferred
-  /// actions, notifies observers, releases locks.
+  /// Commit: runs before-prepare deferred actions, forces the log (a
+  /// relaxed transaction only appends its commit record), runs commit
+  /// deferred actions, notifies observers, releases locks.
+  ///
+  /// Commit ends the transaction whatever it returns; the caller must not
+  /// touch `txn` afterwards, not even to Abort it. If a before-prepare
+  /// action fails or the commit record cannot be appended or forced,
+  /// Commit rolls the transaction back and releases it, then returns that
+  /// failure (or the rollback's own failure, in which case the
+  /// transaction keeps its locks until restart recovery undoes it). A
+  /// failing commit deferred action is reported after the transaction has
+  /// committed.
   Status Commit(Transaction* txn);
 
   /// Abort: log-driven rollback of all effects, then cleanup as above.

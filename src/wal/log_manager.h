@@ -47,8 +47,7 @@
 // on the condvar. When the leader finishes it acknowledges every follower
 // whose LSN the batch covered; an uncovered follower becomes the next
 // leader, so batches form naturally from fsync latency without any timer.
-// An optional batching window (group_window_us/max_batch) lets a leader
-// linger for stragglers when the workload is bursty. On a failed group
+// On a failed group
 // flush nothing is acknowledged: the buffer and counters are left intact,
 // every follower inside the failed batch gets the leader's original
 // failing Status (never a fabricated one), and strict committers can
@@ -137,11 +136,6 @@ class LogManager {
   /// Select the flush protocol: group commit (default) or the legacy
   /// hold-the-lock fsync-per-commit path (baseline for benchmarks).
   void SetGroupCommit(bool enabled);
-
-  /// Tune the leader's batching window: wait up to `window_us` for more
-  /// commit records (up to `max_batch`) before paying the fsync. A zero
-  /// window (default) relies purely on natural batching.
-  void SetGroupCommitWindow(uint64_t window_us, uint32_t max_batch);
 
   /// Start the background group flusher for relaxed commits: wakes when
   /// relaxed commits are pending, batches them for `interval_us`, and
@@ -335,8 +329,6 @@ class LogManager {
 
   // --- group-commit state ---
   bool group_commit_ GUARDED_BY(mu_) = true;
-  uint64_t group_window_us_ GUARDED_BY(mu_) = 0;
-  uint32_t group_max_batch_ GUARDED_BY(mu_) = 64;
   // One flush at a time; followers wait for flush_seq_ to advance, then
   // consult flush_target_/flush_result_ to learn whether the batch that
   // covered their LSN succeeded (and with which original Status).
@@ -344,18 +336,12 @@ class LogManager {
   uint64_t flush_seq_ GUARDED_BY(mu_) = 0;
   Lsn flush_target_ GUARDED_BY(mu_) = 0;
   Status flush_result_ GUARDED_BY(mu_);
-  // Commit records currently buffered (feeds wal.group_size and the
-  // batching window's early-exit test).
+  // Commit records currently buffered (feeds wal.group_size).
   uint64_t buffered_commits_ GUARDED_BY(mu_) = 0;
   // Relaxed commits acknowledged but not yet durable. Written under mu_,
   // read lock-free by unflushed_commits() (DESCRIBE, stats).
   std::atomic<uint64_t> relaxed_unflushed_{0};
   CondVar flush_cv_{&mu_};
-  // Wakes only the lingering leader when a commit record lands during the
-  // batching window. Kept separate from flush_cv_ so each arrival wakes
-  // one thread, not the whole follower crowd (an O(batch^2) wakeup storm
-  // that dominates commit CPU on small machines).
-  CondVar batch_cv_{&mu_};
 
   // --- background flusher (relaxed durability) ---
   bool flusher_stop_ GUARDED_BY(mu_) = false;

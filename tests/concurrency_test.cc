@@ -49,11 +49,9 @@ TEST_F(ConcurrencyTest, ParallelInsertersAllLand) {
         Status s = db_->Insert(
             txn, "counters",
             {Value::Int(t * 1000 + i), Value::Int(0)});
-        if (s.ok()) s = db_->Commit(txn);
-        if (!s.ok()) {
-          ++failures;
-          if (txn->active()) db_->Abort(txn);
-        }
+        if (!s.ok()) (void)db_->Abort(txn);
+        if (s.ok()) s = db_->Commit(txn);  // ends the txn either way
+        if (!s.ok()) ++failures;
       }
     });
   }
@@ -163,10 +161,10 @@ TEST_F(ConcurrencyTest, LostUpdatePreventedByRecordLocks) {
             s = db_->Update(txn, "counters", Slice(key),
                             {Value::Int(1), Value::Int(n + 1)});
           }
-          if (s.ok()) s = db_->Commit(txn);
+          if (!s.ok()) (void)db_->Abort(txn);
+          if (s.ok()) s = db_->Commit(txn);  // ends the txn either way
           if (s.ok()) break;
           ++retries;
-          if (txn->active()) db_->Abort(txn);
         }
       }
     });
@@ -212,9 +210,9 @@ TEST_F(ConcurrencyTest, DeadlockVictimCanRetry) {
         if (!s.ok()) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
-      if (s.ok()) s = db_->Commit(txn);
+      if (!s.ok()) (void)db_->Abort(txn);
+      if (s.ok()) s = db_->Commit(txn);  // ends the txn either way
       if (s.ok()) return;
-      if (txn->active()) db_->Abort(txn);
     }
   };
 

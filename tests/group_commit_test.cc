@@ -94,11 +94,8 @@ TEST(GroupCommitTest, ConcurrentStrictCommittersShareFsyncs) {
   TempDir dir("group_commit");
   DatabaseOptions options;
   options.dir = dir.path() + "/db";
-  // A small batching window makes fsync sharing deterministic enough to
-  // assert on: while one leader lingers/fsyncs, the other committers
+  // Batches form naturally: while one leader fsyncs, the other committers
   // append and ride along.
-  options.group_commit_window_us = 2000;
-  options.group_commit_max_batch = 8;
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(options, &db).ok());
   CreateKv(db.get());
@@ -117,11 +114,10 @@ TEST(GroupCommitTest, ConcurrentStrictCommittersShareFsyncs) {
       for (int i = 0; i < kCommitsPerThread; ++i) {
         Transaction* txn = db->Begin();
         Status s = InsertRow(db.get(), txn, t * 100 + i, "strict");
+        if (!s.ok()) (void)db->Abort(txn);
+        // A failed Commit has already ended the transaction.
         if (s.ok()) s = db->Commit(txn);
-        if (!s.ok()) {
-          failures.fetch_add(1);
-          (void)db->Abort(txn);
-        }
+        if (!s.ok()) failures.fetch_add(1);
       }
     });
   }
@@ -345,7 +341,6 @@ TEST(GroupCommitTortureTest, CrashMidGroupFlush) {
   options.io_retry_attempts = 1;
   options.auto_recovery = false;  // hold failures steady within a cycle
   options.group_flush_interval_us = 100;
-  options.group_commit_window_us = 200;
 
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(options, &db).ok());
@@ -392,9 +387,9 @@ TEST(GroupCommitTortureTest, CrashMidGroupFlush) {
       }
       Status cs = db->Commit(txn);
       if (!cs.ok()) {
-        // The disk is dead from here on: nothing later can sync the
-        // buffered frame, so a failed commit is never durable.
-        (void)db->Abort(txn);
+        // Commit rolled the transaction back. The disk is dead from here
+        // on: nothing later can sync the buffered frame, so a failed
+        // commit is never durable.
         must_be_gone.insert(staged.begin(), staged.end());
       } else if (relaxed) {
         may_survive.insert(staged.begin(), staged.end());
@@ -483,13 +478,10 @@ TEST(GroupCommitTortureTest, ConcurrentStrictAcksSurviveCrash) {
         const int64_t k = t * 1000 + i;
         Transaction* txn = db->Begin();
         Status s = InsertRow(db.get(), txn, k, "acked");
-        if (s.ok()) s = db->Commit(txn);
-        if (s.ok()) {
-          acked[t].push_back(k);
-        } else {
-          (void)db->Abort(txn);
-          break;  // disk is dead for the rest of the cycle
-        }
+        if (!s.ok()) (void)db->Abort(txn);
+        if (s.ok()) s = db->Commit(txn);  // ends the txn either way
+        if (!s.ok()) break;  // disk is dead for the rest of the cycle
+        acked[t].push_back(k);
       }
     });
   }
@@ -518,8 +510,6 @@ TEST(GroupCommitStressTest, ThirtyTwoCommittersHammerTheHandoff) {
   TempDir dir("group_commit_stress");
   DatabaseOptions options;
   options.dir = dir.path() + "/db";
-  options.group_commit_window_us = 100;
-  options.group_commit_max_batch = 16;
   options.group_flush_interval_us = 100;
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(options, &db).ok());
@@ -536,12 +526,12 @@ TEST(GroupCommitStressTest, ThirtyTwoCommittersHammerTheHandoff) {
         // Mix strict and relaxed committers on the same log.
         txn->set_relaxed_durability((t + i) % 3 == 0);
         Status s = InsertRow(db.get(), txn, t * 1000 + i, "stress");
+        if (!s.ok()) (void)db->Abort(txn);
         if (s.ok()) s = db->Commit(txn);
         if (s.ok()) {
           committed.fetch_add(1);
         } else {
-          ADD_FAILURE() << "commit failed: " << s.ToString();
-          (void)db->Abort(txn);
+          ADD_FAILURE() << "insert or commit failed: " << s.ToString();
         }
       }
     });

@@ -3,17 +3,19 @@
 
 Usage: deeplint_test.py <repo-root>
 
-Asserts, with the tokens frontend pinned for determinism:
+Asserts:
   1. the real src/ tree is clean and docs/LOCK_ORDER.md matches the
-     lock-order graph derived from it (doc drift fails);
+     lock-order graph derived from it (doc drift fails), and so are
+     tools/, bench/ and examples/;
   2. the broken fixtures are flagged: the lock cycle, each
-     blocking-under-lock shape, each status-discipline shape, and the
-     brace-initialized procedure vector;
+     blocking-under-lock shape, each status-discipline shape, the direct
+     sibling dispatch, and each mutex-discipline shape;
   3. a reasoned allow() silences its finding, a reasonless one is
      itself a [suppression] finding, and --no-suppressions reports
-     waived findings again;
-  4. the brace-init vector fixture is a dmx_lint.py false negative
-     (regex clean, AST flagged) — the reason the AST port exists.
+     waived findings again.
+
+Procedure-vector completeness is checked by registration, not here
+(tests/registry_test.cc).
 """
 
 import subprocess
@@ -34,19 +36,23 @@ def main():
         return 2
     root = Path(sys.argv[1]).resolve()
     deeplint = root / "tools" / "dmx_deeplint" / "deeplint.py"
-    dmx_lint = root / "tools" / "dmx_lint.py"
     fixtures = root / "tests" / "lint" / "fixtures" / "deeplint"
     failures = []
 
     # 1. Real tree clean; the checked-in lock hierarchy is current.
-    rc, out = run(deeplint, "--frontend", "tokens", "--check-lock-order",
+    rc, out = run(deeplint, "--check-lock-order",
                   root / "docs" / "LOCK_ORDER.md", root / "src")
     if rc != 0:
         failures.append(f"src/ should deeplint clean with a current "
                         f"docs/LOCK_ORDER.md, got rc={rc}:\n{out}")
+    rc, out = run(deeplint, *(root / d for d in ("tools", "bench",
+                                                 "examples")))
+    if rc != 0:
+        failures.append(f"tools/, bench/ and examples/ should deeplint "
+                        f"clean, got rc={rc}:\n{out}")
 
     # 2. Broken fixtures are flagged, each shape at least once.
-    rc, out = run(deeplint, "--frontend", "tokens", fixtures)
+    rc, out = run(deeplint, fixtures)
     if rc != 1:
         failures.append(f"fixtures should fail deeplint with rc=1, got "
                         f"rc={rc}:\n{out}")
@@ -61,9 +67,12 @@ def main():
             "Status::IOError constructed outside",
             "drops a call result with no reason comment",
             "never consults Status::IsRetryable",
-            # vector-dispatch: the brace-init vector, both rules.
-            "required entry points unset: redo",
-            "registers undo without redo",
+            # direct-dispatch: a sibling's accessor called directly.
+            "[direct-dispatch]",
+            "direct dispatch HeapStorageMethodOps().count(...)",
+            # mutex-discipline: raw std::mutex, a Mutex guarding nothing.
+            "[mutex-discipline]", "std::mutex is invisible",
+            "UnguardedMutexHolder::mu_ guards nothing",
             # suppression hygiene: reasonless allow() is a finding.
             "[suppression]", "allow(blocking-under-lock) without a reason",
     ):
@@ -71,26 +80,28 @@ def main():
             failures.append(f"expected fixture finding {needle!r}, "
                             f"output:\n{out}")
 
-    # 3a. The reasoned waiver silences its fsync finding.
-    if "WaivedByDesign" in out:
-        failures.append(f"reasoned allow() should silence "
-                        f"Flusher::WaivedByDesign, output:\n{out}")
+    # Shapes that must not be flagged: a guarded Mutex, an inheriting
+    # vector copy.
+    for needle in ("GuardedMutexHolder", "InheritsFromHeap"):
+        if needle in out:
+            failures.append(f"unexpected fixture finding {needle!r}, "
+                            f"output:\n{out}")
+
+    # 3a. Reasoned waivers silence their findings.
+    for needle in ("WaivedByDesign", "waived_mu_"):
+        if needle in out:
+            failures.append(f"reasoned allow() should silence {needle!r}, "
+                            f"output:\n{out}")
     # 3b. The reasonless allow() suppresses nothing.
     if "Flusher::ReasonlessWaiver" not in out:
         failures.append(f"reasonless allow() must not suppress, "
                         f"output:\n{out}")
     # 3c. The nightly audit mode reports the waived finding again.
-    rc, out = run(deeplint, "--frontend", "tokens", "--no-suppressions",
-                  fixtures / "blocking.cc")
-    if "WaivedByDesign" not in out:
-        failures.append(f"--no-suppressions should report the waived "
-                        f"finding, output:\n{out}")
-
-    # 4. dmx_lint.py's registration regex misses the brace-init vector.
-    rc, out = run(dmx_lint, fixtures / "vector_braceinit.cc")
-    if rc != 0:
-        failures.append(f"vector_braceinit.cc is meant to be a dmx_lint "
-                        f"false negative, got rc={rc}:\n{out}")
+    rc, out = run(deeplint, "--no-suppressions", fixtures)
+    for needle in ("WaivedByDesign", "waived_mu_"):
+        if needle not in out:
+            failures.append(f"--no-suppressions should report the waived "
+                            f"{needle!r}, output:\n{out}")
 
     if failures:
         print("deeplint_test FAILED:", file=sys.stderr)

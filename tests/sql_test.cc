@@ -253,6 +253,22 @@ TEST_F(SqlTest, AlterTableAddCheck) {
   EXPECT_EQ(Must("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 2);
 }
 
+// An autocommit statement whose deferred check fails at commit: Commit
+// rolls the statement's transaction back and frees it, so the session must
+// not touch it afterwards (an ASan build caught the session reading the
+// freed transaction here).
+TEST_F(SqlTest, AutocommitDeferredCheckFailureRollsBack) {
+  Must("CREATE TABLE t (x INT, y DOUBLE)");
+  Must("ALTER TABLE t ADD DEFERRED CHECK (x < 100)");
+  Must("INSERT INTO t VALUES (1, 1.0)");
+  Status s = Try("INSERT INTO t VALUES (700, 1.0)");
+  EXPECT_TRUE(s.IsConstraint()) << s.ToString();
+  EXPECT_EQ(Must("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 1);
+  // The failed statement's locks are gone: the next writer is not blocked.
+  Must("INSERT INTO t VALUES (2, 1.0)");
+  EXPECT_EQ(Must("SELECT COUNT(*) FROM t").rows[0][0].int_value(), 2);
+}
+
 TEST_F(SqlTest, CreateAttachmentGenericSyntax) {
   Must("CREATE TABLE t (x INT, y STRING)");
   Must("CREATE ATTACHMENT ON t USING unique WITH (fields = x)");

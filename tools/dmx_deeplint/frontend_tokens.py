@@ -1,16 +1,12 @@
 """Self-contained token/scope frontend for deeplint.
 
-Builds the shared TUModel (model.py) from a real token stream — comments,
+Builds the TUModel (model.py) from a real token stream — comments,
 strings and preprocessor lines stripped, multi-line declarations seen as
 one token sequence — plus a lightweight structural parse: namespace/class
 scopes, member declarations (mutexes, member types, CondVar->Mutex
 bindings), and function definitions whose bodies are walked with a scope
 stack tracking RAII MutexLock lifetimes and manual Lock()/Unlock() pairs.
-
-It is the frontend that always works: no compiler, no libclang. The
-clang.cindex frontend (frontend_cindex.py) produces the same model with
-full semantic type resolution when the bindings are installed; passes
-cannot tell them apart.
+It needs no compiler and no libclang.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from pathlib import Path
 
 from cxxlex import tokenize
 from model import (CallEvent, ClassInfo, DirectDispatch, FunctionModel,
-                   LockEvent, StatusFact, TUModel, VectorReg, WaitEvent)
+                   LockEvent, StatusFact, TUModel, WaitEvent)
 
 KEYWORDS_NOT_CALLS = frozenset((
     "if", "while", "for", "switch", "return", "sizeof", "alignof",
@@ -45,6 +41,18 @@ ANNOTATION_IDENTS = frozenset((
 
 OPS_SUFFIXES = ("StorageMethodOps", "AttachmentTypeOps", "AttachmentOps")
 
+# std:: primitives thread-safety analysis cannot see (mutex-discipline).
+RAW_LOCK_PRIMITIVES = frozenset((
+    "mutex", "recursive_mutex", "shared_mutex", "condition_variable",
+    "condition_variable_any", "lock_guard", "unique_lock", "scoped_lock",
+))
+
+# Annotations whose arguments name the lock a member Mutex guards.
+GUARD_ANNOTATIONS = frozenset((
+    "GUARDED_BY", "PT_GUARDED_BY", "REQUIRES", "REQUIRES_SHARED",
+    "EXCLUSIVE_LOCKS_REQUIRED", "ACQUIRE", "RELEASE",
+))
+
 
 class _FuncDef:
     __slots__ = ("qual", "cls", "name", "line", "body", "entry_args",
@@ -68,6 +76,7 @@ class TokenFrontend:
         self._file_tokens = {}
         self._file_funcs = {}
         self._file_lines = {}
+        self._file_mutexes = {}  # path -> [(line, cls, member mutex)]
 
     # ---- public API ---------------------------------------------------
 
@@ -191,7 +200,7 @@ class TokenFrontend:
                 return self._skip_operator(toks, j)
             if t.text == ";":
                 if cls is not None and name_chain is None:
-                    self._record_member(cls, toks[start:j])
+                    self._record_member(path, cls, toks[start:j])
                 elif cls is None and name_chain is None:
                     self._record_global(path, toks[start:j])
                 return j + 1
@@ -199,7 +208,7 @@ class TokenFrontend:
                 # Brace-initialized member: `CondVar cv_{&mu_};`
                 k = self._skip_balanced(toks, j, "{", "}")
                 if cls is not None:
-                    self._record_member(cls, toks[start:j],
+                    self._record_member(path, cls, toks[start:j],
                                         init=toks[j + 1:k - 1])
                 while k < n and toks[k].text != ";":
                     k += 1
@@ -289,7 +298,7 @@ class TokenFrontend:
                     else:
                         j += 1
                 if cls is not None:
-                    self._record_member(cls, toks[start:j])
+                    self._record_member(path, cls, toks[start:j])
                 elif cls is None:
                     self._record_global(path, toks[start:j])
                 return j + 1
@@ -336,27 +345,27 @@ class TokenFrontend:
             return None
         return chain
 
-    def _record_member(self, cls, decl, init=None):
+    def _record_member(self, path, cls, decl, init=None):
         info = self.classes.setdefault(cls, ClassInfo(cls))
         # Find the member name: last ident before the annotation/initializer
         # boundary; everything before it is the type.
-        idents, name = [], None
-        for k, t in enumerate(decl):
+        idents = []
+        for t in decl:
             if t.kind == "ident" and t.text in ANNOTATION_IDENTS:
                 break
             if t.text in ("=", "[", "{"):
                 break
             if t.kind == "ident" and t.text not in QUALIFIER_IDENTS:
-                idents.append(t.text)
-        if len(idents) >= 2:
-            name, type_idents = idents[-1], idents[:-1]
-        elif idents:
+                idents.append(t)
+        if len(idents) < 2:
             return  # untyped / macro line
-        else:
-            return
+        name = idents[-1].text
+        type_idents = [t.text for t in idents[:-1]]
         info.members[name] = tuple(type_idents)
         if "Mutex" in type_idents:
             info.mutexes.append(name)
+            self._file_mutexes.setdefault(path, []).append(
+                (idents[-1].line, cls, name))
         if "CondVar" in type_idents and init is not None:
             expr = [t.text for t in init if t.text not in ("&",)]
             if expr:
@@ -399,6 +408,8 @@ class TokenFrontend:
         toks = self._file_tokens[path]
         self._scan_status_facts(path, toks, tu)
         self._scan_dispatch(toks, tu)
+        self._scan_mutex_facts(toks, tu)
+        tu.member_mutexes = self._file_mutexes.get(path, [])
         for cls, info in self.classes.items():
             tu.classes[cls] = info
         for fd in self._file_funcs[path]:
@@ -407,21 +418,20 @@ class TokenFrontend:
             fn.entry_locks = tuple(
                 self._canon_lock(self._lock_components(args), fd, path)
                 for args in fd.entry_args if args)
-            self._walk_body(path, fd, fn, tu)
+            self._walk_body(path, fd, fn)
             fn.mentions = frozenset(t.text for t in fd.body
                                     if t.kind == "ident")
             fn.has_loop = bool(fn.mentions & {"for", "while", "do"})
             tu.functions.append(fn)
         return tu
 
-    def _walk_body(self, path, fd, fn, tu):
+    def _walk_body(self, path, fd, fn):
         toks = fd.body
         n = len(toks)
         locals_type = {}
         # Held locks: list of [canonical, line, depth_or_None(manual)]
         held = [[l, fd.line, None] for l in fn.entry_locks]
         depth = 0
-        vector = None
         i = 0
         while i < n:
             t = toks[i]
@@ -457,37 +467,10 @@ class TokenFrontend:
                     t.text not in KEYWORDS_NOT_CALLS and \
                     i + 2 < n and toks[i + 2].text in (";", "=", "{"):
                 locals_type[nxt.text] = (t.text,)
-                if t.text in ("SmOps", "AtOps"):
-                    init_call = None
-                    k = i + 2
-                    if toks[k].text == "=":
-                        e = k
-                        while e < n and toks[e].text != ";":
-                            if toks[e].kind == "ident" and \
-                                    toks[e].text.endswith("Ops") and \
-                                    e + 1 < n and toks[e + 1].text == "(":
-                                init_call = toks[e].text
-                            e += 1
-                    vector = VectorReg(kind=t.text, var=nxt.text,
-                                       line=t.line,
-                                       inherited=init_call is not None)
             elif t.kind == "ident" and nxt and nxt.text == "*" and \
                     i + 2 < n and toks[i + 2].kind == "ident" and \
                     i + 3 < n and toks[i + 3].text in (";", "="):
                 locals_type[toks[i + 2].text] = (t.text,)
-            # Vector field assignment / completion.
-            if vector and t.text == vector.var and nxt and \
-                    nxt.text == "." and i + 3 < n and \
-                    toks[i + 2].kind == "ident" and toks[i + 3].text == "=":
-                vector.fields.add(toks[i + 2].text)
-                i += 3
-                continue
-            if vector and t.text == "return" and nxt and \
-                    nxt.text == vector.var:
-                tu.vectors.append(vector)
-                vector = None
-                i += 2
-                continue
             # Method/function calls (incl. Lock/Unlock/Wait specials).
             if nxt and nxt.text == "(" and \
                     t.text not in KEYWORDS_NOT_CALLS and \
@@ -771,6 +754,18 @@ class TokenFrontend:
                     i + 5 < n and toks[i + 5].text == "(":
                 tu.dispatches.append(DirectDispatch(
                     f"{t.text}().{toks[i + 4].text}(...)", t.line))
+
+    def _scan_mutex_facts(self, toks, tu):
+        n = len(toks)
+        for i, t in enumerate(toks):
+            if t.text == "std" and i + 2 < n and toks[i + 1].text == "::" \
+                    and toks[i + 2].text in RAW_LOCK_PRIMITIVES:
+                tu.raw_mutexes.append((t.line, toks[i + 2].text))
+            if t.text in GUARD_ANNOTATIONS and i + 1 < n and \
+                    toks[i + 1].text == "(":
+                e = self._skip_balanced(toks, i + 1, "(", ")")
+                tu.lock_annotated.update(
+                    a.text for a in toks[i + 2:e - 1] if a.kind == "ident")
 
     # ---- token utilities ----------------------------------------------
 

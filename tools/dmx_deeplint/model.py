@@ -1,12 +1,11 @@
-"""Shared translation-unit model every deeplint frontend produces.
+"""Translation-unit model the token frontend produces for the passes.
 
-Both frontends — the libclang (clang.cindex) AST walker and the
-self-contained token frontend — reduce a C++ source file to this model;
-the passes only ever see the model, so they run identically under either.
-The model is deliberately small: functions with their lock events, call
-sites annotated with the held-lock set, condition-variable waits,
-procedure-vector registrations, and the handful of raw-source facts
-(IOError constructions, (void) drops) the status pass needs.
+The frontend reduces a C++ source file to this model; the passes only
+ever see the model. It is deliberately small: functions with their lock
+events, call sites annotated with the held-lock set, condition-variable
+waits, direct sibling dispatches, and the handful of raw-source facts the
+status pass (IOError constructions, (void) drops) and the mutex pass (std::
+primitives, member mutexes, annotated lock names) need.
 """
 
 from __future__ import annotations
@@ -58,16 +57,6 @@ class FunctionModel:
 
 
 @dataclass
-class VectorReg:
-    """A procedure-vector registration: `SmOps v; v.x = ...; return v;`"""
-    kind: str            # "SmOps" | "AtOps"
-    var: str
-    line: int
-    inherited: bool      # initialized from another vector accessor
-    fields: set = field(default_factory=set)
-
-
-@dataclass
 class DirectDispatch:
     """`HeapStorageMethodOps().insert(...)` — sibling vector bypass."""
     expr: str
@@ -96,9 +85,13 @@ class TUModel:
     path: str
     functions: list = field(default_factory=list)  # [FunctionModel]
     classes: dict = field(default_factory=dict)    # name -> ClassInfo
-    vectors: list = field(default_factory=list)    # [VectorReg]
     dispatches: list = field(default_factory=list)  # [DirectDispatch]
     status_facts: list = field(default_factory=list)  # [StatusFact]
+    raw_mutexes: list = field(default_factory=list)  # [(line, "mutex")]
+    # Member Mutexes whose class body is in this file: [(line, cls, name)]
+    member_mutexes: list = field(default_factory=list)
+    # Names used inside this file's GUARDED_BY/REQUIRES/... annotations.
+    lock_annotated: set = field(default_factory=set)
 
 
 @dataclass
