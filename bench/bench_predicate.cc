@@ -8,9 +8,13 @@
 //     evaluated against the pinned page (zero copy);
 //   * copy-out: every record is copied out of the scan and the predicate
 //     evaluated by the caller (what a system without the common service
-//     would do).
+//     would do), with the same compiled predicate the scan uses, so the
+//     gap measures the copy and not the evaluator.
 // Expected shape: in-pool wins, and the gap grows as selectivity drops
 // (fewer records ever leave the buffer pool).
+//
+// BM_EvalPredicate is the evaluator layer alone: one record, evaluated in
+// a loop by the tree walker and by the compiled form.
 
 #include <benchmark/benchmark.h>
 
@@ -65,6 +69,8 @@ void BM_FilterAfterCopyOut(benchmark::State& state) {
   Database* db = Fixture()->db();
   const RelationDescriptor* desc = Fixture()->desc();
   ExprPtr pred = PredicateFor(state.range(0));
+  CompiledPredicate compiled;
+  db->evaluator()->Compile(*pred, desc->schema, &compiled);
   uint64_t matched = 0;
   for (auto _ : state) {
     Transaction* txn = db->Begin();
@@ -79,8 +85,7 @@ void BM_FilterAfterCopyOut(benchmark::State& state) {
       std::string copy(item.view.raw().data(), item.view.raw().size());
       RecordView copied{Slice(copy), &desc->schema};
       bool passes = false;
-      BenchCheck(db->evaluator()->EvalPredicate(*pred, copied, &passes),
-                 "eval");
+      BenchCheck(compiled.EvalPredicate(copied, &passes), "eval");
       if (passes) ++matched;
     }
     scan.reset();
@@ -93,6 +98,50 @@ void BM_FilterAfterCopyOut(benchmark::State& state) {
 BENCHMARK(BM_FilterAfterCopyOut)
     ->Arg(1)->Arg(10)->Arg(50)->Arg(90)
     ->Unit(benchmark::kMillisecond);
+
+// `id = ? AND score > ?` on one record that passes, so both comparisons
+// run: the shape of perfbench's scan_filter predicate.
+void BM_EvalPredicate(benchmark::State& state, bool compile) {
+  Database* db = Fixture()->db();
+  const RelationDescriptor* desc = Fixture()->desc();
+  Transaction* txn = db->Begin();
+  std::unique_ptr<Scan> scan;
+  BenchCheck(db->OpenScanOn(txn, desc, AccessPathId::StorageMethod(),
+                            ScanSpec{}, &scan),
+             "scan");
+  ScanItem item;
+  BenchCheck(scan->Next(&item), "first record");
+  const std::string record = item.view.raw().ToString();
+  const RecordView view(Slice(record), &desc->schema);
+  scan.reset();
+  BenchCheck(db->Commit(txn), "commit");
+
+  ExprEvaluator ev;
+  ev.SetParams({Value::Int(view.GetInt(0)),
+                Value::Double(view.GetDouble(2) - 1.0)});
+  const ExprPtr pred =
+      Expr::And(Expr::Eq(Expr::Field(0), Expr::Param(0)),
+                Expr::Binary(ExprOp::kGt, Expr::Field(2), Expr::Param(1)));
+  CompiledPredicate compiled;
+  ev.Compile(*pred, desc->schema, &compiled);
+  if (compile && !compiled.compiled()) {
+    state.SkipWithError("predicate did not compile");
+    return;
+  }
+  for (auto _ : state) {
+    bool passes = false;
+    const Status s = compile ? compiled.EvalPredicate(view, &passes)
+                             : ev.EvalPredicate(*pred, view, &passes);
+    benchmark::DoNotOptimize(passes);
+    if (!s.ok() || !passes) {
+      state.SkipWithError("predicate failed on its own record");
+      return;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_EvalPredicate, walker, false);
+BENCHMARK_CAPTURE(BM_EvalPredicate, compiled, true);
 
 }  // namespace
 }  // namespace bench

@@ -287,10 +287,20 @@ void Database::InvalidateRuntime(RelationId id) {
 }
 
 void Database::InvalidateAttachmentRuntime(RelationId id) {
-  MutexLock lock(&runtime_mu_);
-  auto it = runtimes_.find(id);
-  if (it == runtimes_.end()) return;
-  for (auto& state : it->second->at_state) state.reset();
+  RelationRuntime* rt = nullptr;
+  {
+    // Not held across at_open_mu: an attachment's open reaches
+    // GetRuntime, so that would be the reverse order.
+    MutexLock lock(&runtime_mu_);
+    auto it = runtimes_.find(id);
+    if (it == runtimes_.end()) return;
+    rt = it->second.get();
+  }
+  MutexLock lock(&rt->at_open_mu);
+  for (size_t at = 0; at < rt->at_owner.size(); ++at) {
+    rt->at_state[at].store(nullptr, std::memory_order_release);
+    rt->at_owner[at].reset();
+  }
 }
 
 Status Database::MakeSmContext(Transaction* txn,
@@ -300,13 +310,20 @@ Status Database::MakeSmContext(Transaction* txn,
   ctx->db = this;
   ctx->txn = txn;
   ctx->desc = desc;
-  if (rt->sm_state == nullptr) {
-    SmContext open_ctx = *ctx;
-    open_ctx.state = nullptr;
-    DMX_RETURN_IF_ERROR(
-        registry_.sm_ops(desc->sm_id).open(open_ctx, &rt->sm_state));
+  ExtState* state = rt->sm_state.load(std::memory_order_acquire);
+  if (state == nullptr) {
+    MutexLock lock(&rt->sm_open_mu);
+    state = rt->sm_state.load(std::memory_order_relaxed);
+    if (state == nullptr) {
+      SmContext open_ctx = *ctx;
+      open_ctx.state = nullptr;
+      DMX_RETURN_IF_ERROR(
+          registry_.sm_ops(desc->sm_id).open(open_ctx, &rt->sm_owner));
+      state = rt->sm_owner.get();
+      rt->sm_state.store(state, std::memory_order_release);
+    }
   }
-  ctx->state = rt->sm_state.get();
+  ctx->state = state;
   return Status::OK();
 }
 
@@ -319,13 +336,20 @@ Status Database::MakeAtContext(Transaction* txn,
   ctx->desc = desc;
   ctx->at_id = at;
   ctx->at_desc = Slice(desc->at_desc[at]);
-  if (rt->at_state[at] == nullptr) {
-    AtContext open_ctx = *ctx;
-    open_ctx.state = nullptr;
-    DMX_RETURN_IF_ERROR(
-        registry_.at_ops(at).open(open_ctx, &rt->at_state[at]));
+  ExtState* state = rt->at_state[at].load(std::memory_order_acquire);
+  if (state == nullptr) {
+    MutexLock lock(&rt->at_open_mu);
+    state = rt->at_state[at].load(std::memory_order_relaxed);
+    if (state == nullptr) {
+      AtContext open_ctx = *ctx;
+      open_ctx.state = nullptr;
+      DMX_RETURN_IF_ERROR(
+          registry_.at_ops(at).open(open_ctx, &rt->at_owner[at]));
+      state = rt->at_owner[at].get();
+      rt->at_state[at].store(state, std::memory_order_release);
+    }
   }
-  ctx->state = rt->at_state[at].get();
+  ctx->state = state;
   return Status::OK();
 }
 

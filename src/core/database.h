@@ -494,9 +494,23 @@ class Database {
   /// quarantine-related access so the record eventually reaches disk.
   Status PersistQuarantineRecord();
 
+  /// A relation's extension state, opened on first use. The state is
+  /// opened under the open mutex and published with a release store, so
+  /// two first callers open it once and later callers take no lock. SM
+  /// and AT opens take separate mutexes: an attachment's open may open
+  /// the relation's storage method (join_index rescans it), so
+  /// at_open_mu comes before sm_open_mu, and both before runtime_mu_ and
+  /// whatever an open takes. The opens are reached through procedure
+  /// vectors; tools/dmx_deeplint/config.toml names their targets so these
+  /// edges appear in docs/LOCK_ORDER.md.
   struct RelationRuntime {
-    std::unique_ptr<ExtState> sm_state;
-    std::array<std::unique_ptr<ExtState>, kMaxAttachmentTypes> at_state;
+    Mutex sm_open_mu;
+    std::unique_ptr<ExtState> sm_owner GUARDED_BY(sm_open_mu);
+    std::atomic<ExtState*> sm_state{nullptr};
+    Mutex at_open_mu;
+    std::array<std::unique_ptr<ExtState>, kMaxAttachmentTypes> at_owner
+        GUARDED_BY(at_open_mu);
+    std::array<std::atomic<ExtState*>, kMaxAttachmentTypes> at_state{};
   };
   RelationRuntime* GetRuntime(RelationId id);
 

@@ -1,6 +1,7 @@
 #include "src/expr/evaluator.h"
 
 #include <cmath>
+#include <limits>
 
 namespace dmx {
 
@@ -216,29 +217,41 @@ Status ExprEvaluator::EvalArithmetic(const Expr& e, const TupleAccessor& row,
   }
   const bool both_int =
       a.type() == TypeId::kInt64 && b.type() == TypeId::kInt64;
+  if (both_int) {
+    // Signed overflow is undefined behaviour (INT64_MIN / -1 traps), so it
+    // is an error rather than a wrapped result.
+    const int64_t x = a.int_value(), y = b.int_value();
+    int64_t r = 0;
+    bool overflow = false;
+    switch (e.op()) {
+      case ExprOp::kAdd: overflow = __builtin_add_overflow(x, y, &r); break;
+      case ExprOp::kSub: overflow = __builtin_sub_overflow(x, y, &r); break;
+      case ExprOp::kMul: overflow = __builtin_mul_overflow(x, y, &r); break;
+      case ExprOp::kDiv:
+        if (y == 0) return Status::InvalidArgument("div by zero");
+        overflow = x == std::numeric_limits<int64_t>::min() && y == -1;
+        if (!overflow) r = x / y;
+        break;
+      default:
+        break;
+    }
+    if (overflow) return Status::InvalidArgument("integer overflow");
+    *result = Value::Int(r);
+    return Status::OK();
+  }
   switch (e.op()) {
     case ExprOp::kAdd:
-      *result = both_int ? Value::Int(a.int_value() + b.int_value())
-                         : Value::Double(a.AsDouble() + b.AsDouble());
+      *result = Value::Double(a.AsDouble() + b.AsDouble());
       break;
     case ExprOp::kSub:
-      *result = both_int ? Value::Int(a.int_value() - b.int_value())
-                         : Value::Double(a.AsDouble() - b.AsDouble());
+      *result = Value::Double(a.AsDouble() - b.AsDouble());
       break;
     case ExprOp::kMul:
-      *result = both_int ? Value::Int(a.int_value() * b.int_value())
-                         : Value::Double(a.AsDouble() * b.AsDouble());
+      *result = Value::Double(a.AsDouble() * b.AsDouble());
       break;
     case ExprOp::kDiv:
-      if (both_int) {
-        if (b.int_value() == 0) return Status::InvalidArgument("div by zero");
-        *result = Value::Int(a.int_value() / b.int_value());
-      } else {
-        if (b.AsDouble() == 0.0) {
-          return Status::InvalidArgument("div by zero");
-        }
-        *result = Value::Double(a.AsDouble() / b.AsDouble());
-      }
+      if (b.AsDouble() == 0.0) return Status::InvalidArgument("div by zero");
+      *result = Value::Double(a.AsDouble() / b.AsDouble());
       break;
     default:
       break;

@@ -18,6 +18,8 @@
 
 namespace dmx {
 
+class CompiledPredicate;
+
 /// A user function callable from expressions ("the predicate evaluator will
 /// be able to call functions that are passed to it").
 using UserFunction =
@@ -118,6 +120,13 @@ class ExprEvaluator {
     return Eval(e, none, result);
   }
 
+  /// Compile the filter predicate `e` for records of `schema`. Constants
+  /// and the parameters bound now are resolved once, so a later SetParams
+  /// does not reach `out`. `e`, `schema` and this
+  /// evaluator must outlive `out`.
+  void Compile(const Expr& e, const Schema& schema,
+               CompiledPredicate* out) const;
+
  private:
   Status EvalComparison(const Expr& e, const TupleAccessor& row,
                         Value* result) const;
@@ -128,6 +137,51 @@ class ExprEvaluator {
 
   std::map<std::string, UserFunction> functions_;
   std::vector<Value> params_;
+};
+
+/// A filter predicate compiled against one schema: the AND of comparisons
+/// between a numeric field and a numeric constant or parameter, the shape
+/// of a pushed range filter such as `branch = ? AND balance > ?`. Each row
+/// is decided straight from its bytes (RecordView::IsNull, GetInt,
+/// GetDouble) with Value::Compare's semantics; no Value is built and no
+/// virtual call made. Any other predicate (OR, NOT, IS NULL, LIKE, string
+/// or bool comparisons, calls, arithmetic, spatial operators, an
+/// out-of-range field, a NULL or unbound parameter) does not compile:
+/// every row then goes to the tree walker, so results and errors stay the
+/// walker's. A row with another schema object or too few fields also goes
+/// to the walker.
+class CompiledPredicate {
+ public:
+  /// True when rows run the compiled form, false when they go to the
+  /// walker.
+  bool compiled() const { return compiled_; }
+
+  /// Same contract as ExprEvaluator::EvalPredicate. Valid once Compile
+  /// has filled this object.
+  Status EvalPredicate(const RecordView& row, bool* passes) const;
+
+ private:
+  friend class ExprEvaluator;
+
+  // One conjunct, `field OP value`, with the value resolved once.
+  struct Term {
+    uint16_t field = 0;
+    bool field_is_int = false;
+    bool int_compare = false;  // INT field vs INT value: compare as int64
+    uint8_t truth = 0;         // bit (c + 1) set: three-way result c passes
+    int64_t i = 0;
+    double d = 0;  // the value widened as Value::AsDouble does
+  };
+
+  bool AddConjuncts(const Expr& e, const Schema& schema,
+                    const std::vector<Value>& params);
+
+  const Expr* expr_ = nullptr;
+  const ExprEvaluator* walker_ = nullptr;
+  const Schema* schema_ = nullptr;
+  bool compiled_ = false;
+  size_t min_fields_ = 0;  // a row needs this many fields to run compiled
+  std::vector<Term> terms_;
 };
 
 /// SQL LIKE matcher with `%` (any run) and `_` (any single char).

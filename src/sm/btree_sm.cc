@@ -187,7 +187,11 @@ class BtSmScan : public Scan {
  public:
   BtSmScan(Database* db, const RelationDescriptor* desc,
            std::unique_ptr<BTreeIterator> it, const ScanSpec& spec)
-      : db_(db), desc_(desc), it_(std::move(it)), spec_(spec) {}
+      : db_(db), desc_(desc), it_(std::move(it)), spec_(spec) {
+    if (spec_.filter != nullptr) {
+      db_->evaluator()->Compile(*spec_.filter, desc_->schema, &filter_);
+    }
+  }
 
   Status Next(ScanItem* out) override {
     std::string key, value;
@@ -205,8 +209,7 @@ class BtSmScan : public Scan {
       RecordView view(Slice(holder_), &desc_->schema);
       if (spec_.filter != nullptr) {
         bool passes = false;
-        DMX_RETURN_IF_ERROR(
-            db_->evaluator()->EvalPredicate(*spec_.filter, view, &passes));
+        DMX_RETURN_IF_ERROR(filter_.EvalPredicate(view, &passes));
         if (!passes) continue;
       }
       out->record_key = key;
@@ -229,6 +232,7 @@ class BtSmScan : public Scan {
   const RelationDescriptor* desc_;
   std::unique_ptr<BTreeIterator> it_;
   ScanSpec spec_;
+  CompiledPredicate filter_;  // spec_.filter, compiled once at open
   std::string holder_;  // keeps the returned record bytes alive
 };
 

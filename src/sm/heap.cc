@@ -1,6 +1,7 @@
 #include "src/sm/heap.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <set>
 
@@ -20,8 +21,10 @@ constexpr size_t kUpdateReserve = 256;
 struct HeapState : public ExtState {
   PageId first = kInvalidPageId;
   PageId last = kInvalidPageId;
-  uint64_t pages = 0;
-  uint64_t records = 0;
+  /// Page and live-record counts. Written under `mu`, read without it by
+  /// the planner (cost) and COUNT, which only need an estimate: relaxed.
+  std::atomic<uint64_t> pages{0};
+  std::atomic<uint64_t> records{0};
   /// Serializes page mutation and the chain-tail/counter fields across
   /// concurrent writer transactions. Record X locks don't help here: two
   /// inserters lock different records yet mutate the same tail page.
@@ -90,9 +93,9 @@ Status HeapOpen(SmContext& ctx, std::unique_ptr<ExtState>* state) {
     DMX_RETURN_IF_ERROR(bp->Fetch(page, &h));
     SlottedPage sp(h.page());
     for (uint16_t s = 0; s < sp.num_slots(); ++s) {
-      if (sp.IsLive(s)) ++st->records;
+      if (sp.IsLive(s)) st->records.fetch_add(1, std::memory_order_relaxed);
     }
-    ++st->pages;
+    st->pages.fetch_add(1, std::memory_order_relaxed);
     st->last = page;
     page = sp.next_page();
   }
@@ -139,7 +142,7 @@ Status HeapInsertLocked(SmContext& ctx, const Slice& record,
     h.MarkDirty();
     link_prev = st->last;
     st->last = fresh;
-    ++st->pages;
+    st->pages.fetch_add(1, std::memory_order_relaxed);
     target = fresh;
     h = std::move(nh);
   } else if (!s.ok()) {
@@ -154,7 +157,7 @@ Status HeapInsertLocked(SmContext& ctx, const Slice& record,
   DMX_RETURN_IF_ERROR(LogHeapOp(ctx, std::move(payload), &lsn));
   SetPageLsn(h.page(), lsn);
   h.MarkDirty();
-  ++st->records;
+  st->records.fetch_add(1, std::memory_order_relaxed);
   *record_key = rid.Encode();
   return Status::OK();
 }
@@ -175,7 +178,7 @@ Status HeapEraseLocked(SmContext& ctx, const Slice& record_key,
   DMX_RETURN_IF_ERROR(LogHeapOp(ctx, std::move(payload), &lsn));
   SetPageLsn(h.page(), lsn);
   h.MarkDirty();
-  --st->records;
+  st->records.fetch_sub(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -274,6 +277,9 @@ class HeapScan : public Scan {
         if (!spec_.low_inclusive) ++next_.slot;
       }
     }
+    if (spec_.filter != nullptr) {
+      db_->evaluator()->Compile(*spec_.filter, desc_->schema, &filter_);
+    }
   }
 
   Status Next(ScanItem* out) override {
@@ -306,8 +312,7 @@ class HeapScan : public Scan {
       RecordView view(data, &desc_->schema);
       if (spec_.filter != nullptr) {
         bool passes = false;
-        DMX_RETURN_IF_ERROR(
-            db_->evaluator()->EvalPredicate(*spec_.filter, view, &passes));
+        DMX_RETURN_IF_ERROR(filter_.EvalPredicate(view, &passes));
         if (!passes) continue;
       }
       out->record_key = current.Encode();
@@ -332,6 +337,7 @@ class HeapScan : public Scan {
   Database* db_;
   const RelationDescriptor* desc_;
   ScanSpec spec_;
+  CompiledPredicate filter_;  // spec_.filter, compiled once at open
   Rid next_;
   Rid last_returned_;
   /// Exclusive chain-segment bound (kInvalidPageId = scan to the end).
@@ -354,14 +360,15 @@ Status HeapPartitionScan(SmContext& ctx, const ScanSpec& spec, int target,
                          std::vector<ScanSpec>* partitions) {
   partitions->clear();
   HeapState* st = StateOf(ctx);
+  const uint64_t pages = st->pages.load(std::memory_order_relaxed);
   if (target < 2 || spec.low_key.has_value() || spec.high_key.has_value() ||
-      st->pages < 2 || st->first == kInvalidPageId) {
+      pages < 2 || st->first == kInvalidPageId) {
     partitions->push_back(spec);
     return Status::OK();
   }
   // Walk the chain once to learn its order (not page-id order after frees).
   std::vector<PageId> chain;
-  chain.reserve(st->pages);
+  chain.reserve(pages);
   BufferPool* bp = ctx.db->buffer_pool();
   PageId page = st->first;
   while (page != kInvalidPageId) {
@@ -388,8 +395,10 @@ Status HeapCost(SmContext& ctx, const std::vector<ExprPtr>& predicates,
                 AccessCost* out) {
   HeapState* st = StateOf(ctx);
   out->usable = true;
-  out->io_cost = static_cast<double>(st->pages);
-  out->cpu_cost = static_cast<double>(st->records);
+  out->io_cost =
+      static_cast<double>(st->pages.load(std::memory_order_relaxed));
+  out->cpu_cost =
+      static_cast<double>(st->records.load(std::memory_order_relaxed));
   out->selectivity = EstimateSelectivity(predicates);
   // A full scan evaluates every eligible predicate itself (pushed filter).
   out->handled_predicates.clear();
@@ -400,7 +409,7 @@ Status HeapCost(SmContext& ctx, const std::vector<ExprPtr>& predicates,
 }
 
 Status HeapCount(SmContext& ctx, uint64_t* records) {
-  *records = StateOf(ctx)->records;
+  *records = StateOf(ctx)->records.load(std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -460,7 +469,7 @@ Status ApplyHeapOp(SmContext& ctx, const HeapLogOp& op, bool undo,
       ph.MarkDirty();
       if (st->last == op.link_prev) {
         st->last = op.rid.page;
-        ++st->pages;
+        st->pages.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -484,12 +493,12 @@ Status ApplyHeapOp(SmContext& ctx, const HeapLogOp& op, bool undo,
     case 'I':
     case 'i':
       s = sp.InsertAt(op.rid.slot, op.record);
-      if (s.ok()) ++st->records;
+      if (s.ok()) st->records.fetch_add(1, std::memory_order_relaxed);
       break;
     case 'D':
     case 'd':
       s = sp.Delete(op.rid.slot);
-      if (s.ok()) --st->records;
+      if (s.ok()) st->records.fetch_sub(1, std::memory_order_relaxed);
       break;
     case 'U':
       s = sp.Update(op.rid.slot, op.new_rec);
@@ -595,15 +604,17 @@ Status HeapVerify(SmContext& ctx, VerifyReport* report) {
   }
   report->items += live;
   if (report->clean()) {
-    if (live != st->records) {
+    const uint64_t st_records = st->records.load(std::memory_order_relaxed);
+    const uint64_t st_pages = st->pages.load(std::memory_order_relaxed);
+    if (live != st_records) {
       report->Problem("heap record count mismatch: chain holds " +
                       std::to_string(live) + ", state says " +
-                      std::to_string(st->records));
+                      std::to_string(st_records));
     }
-    if (pages != st->pages) {
+    if (pages != st_pages) {
       report->Problem("heap page count mismatch: chain holds " +
                       std::to_string(pages) + ", state says " +
-                      std::to_string(st->pages));
+                      std::to_string(st_pages));
     }
     if (last != st->last) {
       report->Problem("heap chain tail is page " + std::to_string(last) +

@@ -179,6 +179,9 @@ class MemScan : public Scan {
       pos_ = *spec_.low_key;
       exclusive_ = !spec_.low_inclusive;
     }
+    if (spec_.filter != nullptr) {
+      db_->evaluator()->Compile(*spec_.filter, desc_->schema, &filter_);
+    }
   }
 
   Status Next(ScanItem* out) override {
@@ -197,8 +200,7 @@ class MemScan : public Scan {
       RecordView view(Slice(it->second), &desc_->schema);
       if (spec_.filter != nullptr) {
         bool passes = false;
-        DMX_RETURN_IF_ERROR(
-            db_->evaluator()->EvalPredicate(*spec_.filter, view, &passes));
+        DMX_RETURN_IF_ERROR(filter_.EvalPredicate(view, &passes));
         if (!passes) continue;
       }
       out->record_key = it->first;
@@ -225,6 +227,7 @@ class MemScan : public Scan {
   const RelationDescriptor* desc_;
   MemState* st_;
   ScanSpec spec_;
+  CompiledPredicate filter_;  // spec_.filter, compiled once at open
   std::string pos_;
   bool exclusive_ = false;
 };

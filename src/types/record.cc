@@ -1,7 +1,5 @@
 #include "src/types/record.h"
 
-#include <cassert>
-
 #include "src/util/coding.h"
 
 namespace dmx {
@@ -12,55 +10,6 @@ size_t HeaderBytes(size_t ncols) {
   return 2 + 4 * (ncols + 1) + BitmapBytes(ncols);
 }
 }  // namespace
-
-uint16_t RecordView::num_fields() const {
-  if (data_.size() < 2) return 0;
-  return DecodeFixed16(data_.data());
-}
-
-const char* RecordView::data_area() const {
-  return data_.data() + HeaderBytes(num_fields());
-}
-
-void RecordView::FieldRange(size_t i, uint32_t* begin, uint32_t* end) const {
-  const char* offsets = data_.data() + 2;
-  *begin = DecodeFixed32(offsets + 4 * i);
-  *end = DecodeFixed32(offsets + 4 * (i + 1));
-}
-
-bool RecordView::IsNull(size_t i) const {
-  const size_t ncols = num_fields();
-  assert(i < ncols);
-  const char* bitmap = data_.data() + 2 + 4 * (ncols + 1);
-  return (static_cast<unsigned char>(bitmap[i / 8]) >> (i % 8)) & 1;
-}
-
-int64_t RecordView::GetInt(size_t i) const {
-  uint32_t b, e;
-  FieldRange(i, &b, &e);
-  assert(e - b == 8);
-  return static_cast<int64_t>(DecodeFixed64(data_area() + b));
-}
-
-double RecordView::GetDouble(size_t i) const {
-  uint32_t b, e;
-  FieldRange(i, &b, &e);
-  assert(e - b == 8);
-  return DecodeDouble(data_area() + b);
-}
-
-bool RecordView::GetBool(size_t i) const {
-  uint32_t b, e;
-  FieldRange(i, &b, &e);
-  assert(e - b == 1);
-  return data_area()[b] != 0;
-}
-
-Slice RecordView::GetStringSlice(size_t i) const {
-  uint32_t b, e;
-  FieldRange(i, &b, &e);
-  return Slice(data_area() + b, e - b);
-}
 
 Value RecordView::GetValue(size_t i) const {
   if (IsNull(i)) return Value::Null();

@@ -18,12 +18,14 @@
 #ifndef DMX_TYPES_RECORD_H_
 #define DMX_TYPES_RECORD_H_
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/types/schema.h"
 #include "src/types/value.h"
+#include "src/util/coding.h"
 #include "src/util/slice.h"
 #include "src/util/status.h"
 
@@ -41,14 +43,43 @@ class RecordView {
   const Schema* schema() const { return schema_; }
   Slice raw() const { return data_; }
 
-  uint16_t num_fields() const;
+  uint16_t num_fields() const {
+    if (data_.size() < 2) return 0;
+    return DecodeFixed16(data_.data());
+  }
 
-  bool IsNull(size_t i) const;
-  int64_t GetInt(size_t i) const;
-  double GetDouble(size_t i) const;
-  bool GetBool(size_t i) const;
+  // The field readers are inline: the compiled predicates of the common
+  // evaluation service call them once per operand per scanned record.
+  bool IsNull(size_t i) const {
+    const size_t ncols = num_fields();
+    assert(i < ncols);
+    const char* bitmap = data_.data() + 2 + 4 * (ncols + 1);
+    return (static_cast<unsigned char>(bitmap[i / 8]) >> (i % 8)) & 1;
+  }
+  int64_t GetInt(size_t i) const {
+    uint32_t b, e;
+    FieldRange(i, &b, &e);
+    assert(e - b == 8);
+    return static_cast<int64_t>(DecodeFixed64(data_area() + b));
+  }
+  double GetDouble(size_t i) const {
+    uint32_t b, e;
+    FieldRange(i, &b, &e);
+    assert(e - b == 8);
+    return DecodeDouble(data_area() + b);
+  }
+  bool GetBool(size_t i) const {
+    uint32_t b, e;
+    FieldRange(i, &b, &e);
+    assert(e - b == 1);
+    return data_area()[b] != 0;
+  }
   /// Returns a slice aliasing the record buffer (no copy).
-  Slice GetStringSlice(size_t i) const;
+  Slice GetStringSlice(size_t i) const {
+    uint32_t b, e;
+    FieldRange(i, &b, &e);
+    return Slice(data_area() + b, e - b);
+  }
 
   /// Decode field `i` into an owning Value (copies string bytes).
   Value GetValue(size_t i) const;
@@ -61,8 +92,16 @@ class RecordView {
 
  private:
   // Byte range of field i within the data area.
-  void FieldRange(size_t i, uint32_t* begin, uint32_t* end) const;
-  const char* data_area() const;
+  void FieldRange(size_t i, uint32_t* begin, uint32_t* end) const {
+    const char* offsets = data_.data() + 2;
+    *begin = DecodeFixed32(offsets + 4 * i);
+    *end = DecodeFixed32(offsets + 4 * (i + 1));
+  }
+  // Header: u16 count, u32 offsets[count + 1], bitmap[ceil(count / 8)].
+  const char* data_area() const {
+    const size_t ncols = num_fields();
+    return data_.data() + 2 + 4 * (ncols + 1) + (ncols + 7) / 8;
+  }
 
   Slice data_;
   const Schema* schema_ = nullptr;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "src/core/database.h"
@@ -267,6 +268,75 @@ TEST_F(ConcurrencyTest, ReadersShareWritersExclude) {
   db_->Abort(writer);
   ASSERT_TRUE(db_->Commit(reader).ok());
   db_->lock_manager()->set_timeout(std::chrono::milliseconds(2000));
+}
+
+// A copy of the heap vector whose open counts its calls. The first call
+// waits up to 200 ms for a second one, so two first callers overlap
+// whenever nothing keeps the second out.
+std::atomic<int> g_open_calls{0};
+Status (*g_heap_open)(SmContext&, std::unique_ptr<ExtState>*) = nullptr;
+
+Status CountingOpen(SmContext& ctx, std::unique_ptr<ExtState>* state) {
+  if (++g_open_calls == 1) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    while (g_open_calls.load() < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  return g_heap_open(ctx, state);
+}
+
+TEST(ConcurrencyOpenTest, FirstCallersOpenRelationStateOnce) {
+  TempDir dir("open_once");
+  DatabaseOptions options;
+  options.dir = dir.path();
+  options.register_extensions = [](ExtensionRegistry* registry) {
+    SmOps counting = registry->sm_ops(registry->FindStorageMethod("heap"));
+    g_heap_open = counting.open;
+    counting.name = "counting_heap";
+    counting.open = CountingOpen;
+    return registry->RegisterStorageMethod(counting);
+  };
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(options, &db).ok());
+  Transaction* txn = db->Begin();
+  ASSERT_TRUE(db->CreateRelation(txn, "r", CounterSchema(), "counting_heap",
+                                 {})
+                  .ok());
+  ASSERT_TRUE(db->Insert(txn, "r", {Value::Int(1), Value::Int(2)}).ok());
+  ASSERT_TRUE(db->Commit(txn).ok());
+
+  // Drop the open state (the heap reopens from its pages), so the two
+  // callers below both make the first call.
+  const RelationDescriptor* desc = nullptr;
+  ASSERT_TRUE(db->FindRelation("r", &desc).ok());
+  db->InvalidateRuntime(desc->id);
+  g_open_calls = 0;
+  Status status[2];
+  ExtState* state[2] = {nullptr, nullptr};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      SmContext ctx;
+      status[t] = db->MakeSmContext(nullptr, desc, &ctx);
+      state[t] = ctx.state;
+    });
+  }
+  for (auto& th : callers) th.join();
+  ASSERT_TRUE(status[0].ok()) << status[0].ToString();
+  ASSERT_TRUE(status[1].ok()) << status[1].ToString();
+  EXPECT_EQ(g_open_calls.load(), 1);
+  EXPECT_EQ(state[0], state[1]);
+  EXPECT_NE(state[0], nullptr);
+
+  // The one state serves the relation.
+  Transaction* reader = db->Begin();
+  uint64_t rows = 0;
+  ASSERT_TRUE(db->CountRecords(reader, desc, &rows).ok());
+  EXPECT_EQ(rows, 1u);
+  ASSERT_TRUE(db->Commit(reader).ok());
 }
 
 }  // namespace

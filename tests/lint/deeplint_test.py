@@ -9,7 +9,8 @@ Asserts:
      tools/, bench/ and examples/;
   2. the broken fixtures are flagged: the lock cycle, each
      blocking-under-lock shape, each status-discipline shape, the direct
-     sibling dispatch, and each mutex-discipline shape;
+     sibling dispatch, and each mutex-discipline shape (an unguarded
+     member Mutex is found by class, not by bare name);
   3. a reasoned allow() silences its finding, a reasonless one is
      itself a [suppression] finding, and --no-suppressions reports
      waived findings again.
@@ -73,6 +74,9 @@ def main():
             # mutex-discipline: raw std::mutex, a Mutex guarding nothing.
             "[mutex-discipline]", "std::mutex is invisible",
             "UnguardedMutexHolder::mu_ guards nothing",
+            # ... matched by class: a neighbour's guarded `mu_` is not
+            # this class's.
+            "UnguardedSibling::mu_ guards nothing",
             # suppression hygiene: reasonless allow() is a finding.
             "[suppression]", "allow(blocking-under-lock) without a reason",
     ):
@@ -80,9 +84,10 @@ def main():
             failures.append(f"expected fixture finding {needle!r}, "
                             f"output:\n{out}")
 
-    # Shapes that must not be flagged: a guarded Mutex, an inheriting
-    # vector copy.
-    for needle in ("GuardedMutexHolder", "InheritsFromHeap"):
+    # Shapes that must not be flagged: a guarded Mutex (alone, or beside
+    # an unguarded namesake), an inheriting vector copy.
+    for needle in ("GuardedMutexHolder", "GuardedSibling",
+                   "InheritsFromHeap"):
         if needle in out:
             failures.append(f"unexpected fixture finding {needle!r}, "
                             f"output:\n{out}")

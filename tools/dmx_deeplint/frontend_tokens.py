@@ -12,6 +12,7 @@ It needs no compiler and no libclang.
 from __future__ import annotations
 
 from pathlib import Path
+from types import SimpleNamespace
 
 from cxxlex import tokenize
 from model import (CallEvent, ClassInfo, DirectDispatch, FunctionModel,
@@ -77,6 +78,8 @@ class TokenFrontend:
         self._file_funcs = {}
         self._file_lines = {}
         self._file_mutexes = {}  # path -> [(line, cls, member mutex)]
+        # path -> [(enclosing class or None, guard-annotation arg tokens)]
+        self._file_guards = {}
 
     # ---- public API ---------------------------------------------------
 
@@ -239,6 +242,10 @@ class TokenFrontend:
                             if ann in ("REQUIRES", "REQUIRES_SHARED",
                                        "EXCLUSIVE_LOCKS_REQUIRED"):
                                 entry_args.append(toks[j + 1:k - 1])
+                            if ann in GUARD_ANNOTATIONS:
+                                owner = "::".join(name_chain[:-1]) or cls
+                                self._record_guard(path, owner,
+                                                   toks[j + 1:k - 1])
                             j = k
                         continue
                     if t.kind == "ident":  # unknown macro / attr name
@@ -345,8 +352,18 @@ class TokenFrontend:
             return None
         return chain
 
+    def _record_guard(self, path, cls, args):
+        """A GUARDED_BY/REQUIRES/... argument list on a declaration whose
+        class is `cls`; resolved to a lock id once every class is known."""
+        if args:
+            self._file_guards.setdefault(path, []).append((cls, args))
+
     def _record_member(self, path, cls, decl, init=None):
         info = self.classes.setdefault(cls, ClassInfo(cls))
+        for k, t in enumerate(decl[:-1]):
+            if t.text in GUARD_ANNOTATIONS and decl[k + 1].text == "(":
+                e = self._skip_balanced(decl, k + 1, "(", ")")
+                self._record_guard(path, cls, decl[k + 2:e - 1])
         # Find the member name: last ident before the annotation/initializer
         # boundary; everything before it is the type.
         idents = []
@@ -408,7 +425,7 @@ class TokenFrontend:
         toks = self._file_tokens[path]
         self._scan_status_facts(path, toks, tu)
         self._scan_dispatch(toks, tu)
-        self._scan_mutex_facts(toks, tu)
+        self._scan_mutex_facts(path, toks, tu)
         tu.member_mutexes = self._file_mutexes.get(path, [])
         for cls, info in self.classes.items():
             tu.classes[cls] = info
@@ -755,17 +772,18 @@ class TokenFrontend:
                 tu.dispatches.append(DirectDispatch(
                     f"{t.text}().{toks[i + 4].text}(...)", t.line))
 
-    def _scan_mutex_facts(self, toks, tu):
+    def _scan_mutex_facts(self, path, toks, tu):
         n = len(toks)
         for i, t in enumerate(toks):
             if t.text == "std" and i + 2 < n and toks[i + 1].text == "::" \
                     and toks[i + 2].text in RAW_LOCK_PRIMITIVES:
                 tu.raw_mutexes.append((t.line, toks[i + 2].text))
-            if t.text in GUARD_ANNOTATIONS and i + 1 < n and \
-                    toks[i + 1].text == "(":
-                e = self._skip_balanced(toks, i + 1, "(", ")")
-                tu.lock_annotated.update(
-                    a.text for a in toks[i + 2:e - 1] if a.kind == "ident")
+        # Resolve each guard in the scope of the class that declares it,
+        # so `GUARDED_BY(mu_)` in one class never covers another's `mu_`.
+        for cls, args in self._file_guards.get(path, []):
+            scope = SimpleNamespace(cls=cls, qual=cls or "")
+            tu.lock_annotated.add(
+                self._canon_lock(self._lock_components(args), scope, path))
 
     # ---- token utilities ----------------------------------------------
 

@@ -90,7 +90,9 @@ class TUModel:
     raw_mutexes: list = field(default_factory=list)  # [(line, "mutex")]
     # Member Mutexes whose class body is in this file: [(line, cls, name)]
     member_mutexes: list = field(default_factory=list)
-    # Names used inside this file's GUARDED_BY/REQUIRES/... annotations.
+    # Lock ids (`Class::name`, as in LockEvent.lock) that this file's
+    # GUARDED_BY/REQUIRES/... annotations name, each resolved in the class
+    # whose member or method carries the annotation.
     lock_annotated: set = field(default_factory=set)
 
 

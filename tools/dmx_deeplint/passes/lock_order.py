@@ -11,6 +11,10 @@ The derived DAG is emitted as docs/LOCK_ORDER.md (render_doc) so the
 acquisition order is a reviewed artifact: a new edge shows up in the diff
 of a generated file, not only in a reviewer's head.
 
+A call the frontend cannot resolve (a procedure-vector entry such as an
+SM's `open`) reaches the targets config.toml lists for it under
+[[lock_order.indirect_calls]].
+
 An edge can be waived at its acquisition/call site with
 `// deeplint: allow(lock-order, reason)`; waived edges are removed before
 the cycle check (waiving any single edge of a cycle breaks it).
@@ -79,7 +83,27 @@ def _resolve_callee(call, fn, table, by_name):
     return None
 
 
-def _acquire_closure(models, table, by_name):
+def _indirect_calls(ctx):
+    """(caller, entry) -> target function names, from config.toml's
+    [[lock_order.indirect_calls]]: calls no receiver type resolves, such
+    as a procedure-vector entry."""
+    out = {}
+    for c in ctx.config.get("lock_order", {}).get("indirect_calls", []):
+        out[(c["caller"], c["entry"])] = list(c["targets"])
+    return out
+
+
+def _callees(call, fn, table, by_name, indirect):
+    """The functions `call` in `fn` may reach: the resolved callee, or the
+    targets configured for a call it cannot resolve."""
+    t = _resolve_callee(call, fn, table, by_name)
+    if t is not None:
+        return [t]
+    return [table[q] for q in indirect.get((fn.qual, call.name), ())
+            if q in table]
+
+
+def _acquire_closure(models, table, by_name, indirect):
     """lock set each function may acquire, transitively through resolved
     calls (fixpoint; cycles in the call graph converge)."""
     acq = {q: {ev.lock for ev in fn.acquires}
@@ -88,9 +112,9 @@ def _acquire_closure(models, table, by_name):
     for q, fn in table.items():
         tgts = []
         for call in fn.calls:
-            t = _resolve_callee(call, fn, table, by_name)
-            if t is not None and t.qual != q:
-                tgts.append(t.qual)
+            for t in _callees(call, fn, table, by_name, indirect):
+                if t.qual != q:
+                    tgts.append(t.qual)
         callees[q] = tgts
     changed = True
     while changed:
@@ -108,7 +132,8 @@ def _acquire_closure(models, table, by_name):
 def build_graph(models, ctx):
     """Returns (graph, waived_edges) with suppressed edges removed."""
     table, by_name = _function_table(models)
-    closure = _acquire_closure(models, table, by_name)
+    indirect = _indirect_calls(ctx)
+    closure = _acquire_closure(models, table, by_name, indirect)
     g = _Graph()
     waived = []
 
@@ -128,17 +153,16 @@ def build_graph(models, ctx):
             for call in fn.calls:
                 if not call.held:
                     continue
-                callee = _resolve_callee(call, fn, table, by_name)
-                if callee is None:
-                    continue
-                for inner in sorted(closure.get(callee.qual, ())):
-                    site = (tu.path, call.line,
-                            f"{fn.qual} -> {callee.qual}")
-                    for h in call.held:
-                        if site_ok(tu.path, call.line):
-                            g.add(h, inner, site)
-                        else:
-                            waived.append((h, inner, site))
+                for callee in _callees(call, fn, table, by_name,
+                                       indirect):
+                    for inner in sorted(closure.get(callee.qual, ())):
+                        site = (tu.path, call.line,
+                                f"{fn.qual} -> {callee.qual}")
+                        for h in call.held:
+                            if site_ok(tu.path, call.line):
+                                g.add(h, inner, site)
+                            else:
+                                waived.append((h, inner, site))
     return g, waived
 
 

@@ -8,7 +8,8 @@ Two rules:
     (src/util/thread_annotations.h, the one file allowed to wrap them).
   * unguarded — a member Mutex must guard something: the same file names
     it in a GUARDED_BY / REQUIRES / ACQUIRE / RELEASE annotation, or the
-    analysis has nothing to check it against.
+    analysis has nothing to check it against. The match is on the lock's
+    class as well as its name, so another class's `mu_` does not count.
 
 The member mutexes are the ones the frontend records in ClassInfo.mutexes.
 """
@@ -30,7 +31,7 @@ def run(models, ctx):
                 "dmx::Mutex / MutexLock / CondVar from "
                 "src/util/thread_annotations.h"))
         for line, cls, name in tu.member_mutexes:
-            if name not in tu.lock_annotated:
+            if f"{cls}::{name}" not in tu.lock_annotated:
                 findings.append(Finding(
                     tu.path, line, RULE,
                     f"member Mutex {cls}::{name} guards nothing: annotate "
