@@ -891,6 +891,13 @@ class SqlExecutor {
           std::to_string(unflushed) +
               " relaxed commit(s) acknowledged, not yet durable");
     }
+    if (BufferPool* pool = db_->buffer_pool()) {
+      const BufferPoolStats& bp = pool->stats();
+      add("db.bufferpool",
+          std::to_string(bp.hits) + " hits, " + std::to_string(bp.misses) +
+              " misses, " + std::to_string(bp.flushes) + " writebacks, " +
+              std::to_string(bp.io_waits) + " io_waits");
+    }
     if (db_->last_backup_lsn() > 0) {
       add("db.last_backup_lsn", std::to_string(db_->last_backup_lsn()));
     }

@@ -91,7 +91,9 @@ Status PageFile::ReadRaw(PageId id, char* buf) {
 Status PageFile::WriteRaw(PageId id, const char* buf) {
   char frame[kDiskPageSize];
   memcpy(frame, buf, kPageSize);
-  const uint32_t crc = Crc32c(buf, kPageSize);
+  // Over the copy, not `buf`: a caller's buffer may still be changing,
+  // and the trailer must match the bytes actually written.
+  const uint32_t crc = Crc32c(frame, kPageSize);
   memcpy(frame + kPageSize, &crc, 4);
   memset(frame + kPageSize + 4, 0, 4);
   return file_->Write(static_cast<uint64_t>(id) * kDiskPageSize, frame,

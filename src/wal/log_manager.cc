@@ -161,6 +161,8 @@ Status LogManager::Open(const std::string& path, bool create, Env* env) {
   return Status::OK();
 }
 
+// Runs inside Open, before the log is shared.
+// deeplint: allow(blocking-under-lock, open-time discovery precedes sharing)
 Status LogManager::DiscoverSegmentsLocked() {
   segments_.clear();
   next_seg_seqno_ = 1;
@@ -232,6 +234,8 @@ void LogManager::UpdateLagGaugeLocked() {
   metric_sealed_unarchived_->Increment(n);
 }
 
+// A step of Open, Truncate, Rotate and Resume, each exclusive by design.
+// deeplint: allow(blocking-under-lock, header rewrite inside exclusive ops)
 Status LogManager::WriteHeaderLocked() {
   std::string enc;
   PutFixed32(&enc, kLogMagic);
@@ -334,6 +338,8 @@ Status LogManager::FlushToLocked(Lsn lsn) {
   return group_commit_ ? GroupFlushLocked(lsn) : LegacyFlushLocked(lsn);
 }
 
+// The legacy protocol is the flush with mu_ held (group commit is not).
+// deeplint: allow(blocking-under-lock, legacy flush holds mu_ by design)
 Status LogManager::LegacyFlushLocked(Lsn lsn) {
   if (poison_ != PoisonKind::kNone) return PoisonedLocked();
   if (lsn <= flushed_lsn_.load(std::memory_order_relaxed)) {
@@ -646,6 +652,8 @@ Status LogManager::Truncate() {
   return TruncateLocked();
 }
 
+// The header-first advance and shrink must not interleave with appends.
+// deeplint: allow(blocking-under-lock, truncation excludes appenders)
 Status LogManager::TruncateLocked() {
   const Lsn old_base = base_lsn_;
   const uint32_t old_gen = gen_;
@@ -702,6 +710,8 @@ Status LogManager::Rotate() {
   return RotateLocked();
 }
 
+// Sealing the flushed prefix must not interleave with appends.
+// deeplint: allow(blocking-under-lock, rotation excludes appenders)
 Status LogManager::RotateLocked() {
   const Lsn flushed = flushed_lsn_.load(std::memory_order_relaxed);
   if (flushed <= base_lsn_) return Status::OK();  // empty live log: no-op

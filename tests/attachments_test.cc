@@ -92,7 +92,7 @@ TEST_F(AttachmentsTest, MultipleIndexInstancesGetDistinctNumbers) {
                     .ok());
     EXPECT_EQ(keys.size(), 1u) << inst;
   }
-  db_->Commit(txn);
+  EXPECT_TRUE(db_->Commit(txn).ok());
 }
 
 TEST_F(AttachmentsTest, DropOneInstanceLeavesOthers) {
@@ -134,7 +134,7 @@ TEST_F(AttachmentsTest, DropOneInstanceLeavesOthers) {
                           Slice(probe_b), &keys)
                   .ok());
   EXPECT_EQ(keys.size(), 1u);
-  db_->Commit(txn);
+  EXPECT_TRUE(db_->Commit(txn).ok());
 }
 
 TEST_F(AttachmentsTest, AttachmentCreateAbortRevertsDescriptor) {
@@ -177,7 +177,7 @@ TEST_F(AttachmentsTest, RTreeTracksUpdatesAndDeletes) {
                                                      inst),
                             Slice(probe), &keys)
                     .ok());
-    db_->Commit(t);
+    EXPECT_TRUE(db_->Commit(t).ok());
     return keys.size();
   };
   EXPECT_EQ(probe_at(10.2, 10.2), 1u);
@@ -304,7 +304,7 @@ TEST_F(AttachmentsTest, StatsFollowUpdatesAndNulls) {
                           AccessPathId::Attachment(At("stats"), inst),
                           Slice("bogus"), &out)
                   .IsInvalidArgument());
-  db_->Commit(txn);
+  EXPECT_TRUE(db_->Commit(txn).ok());
 }
 
 TEST_F(AttachmentsTest, TriggerEventFilter) {
@@ -331,7 +331,7 @@ TEST_F(AttachmentsTest, TriggerUnknownFunctionRejectedAtCreate) {
   Status s = db_->CreateAttachment(txn, "t", "trigger",
                                    {{"call", "never_registered"}});
   EXPECT_TRUE(s.IsInvalidArgument());
-  db_->Commit(txn);
+  EXPECT_TRUE(db_->Commit(txn).ok());
 }
 
 TEST_F(AttachmentsTest, JoinIndexFollowsUpdates) {
@@ -390,7 +390,7 @@ TEST_F(AttachmentsTest, CheckConstraintRejectsCreateOnViolatingData) {
   Status s = db_->CreateAttachment(
       txn, "t", "check", {{"predicate", EncodePredicateAttr(pred)}});
   EXPECT_TRUE(s.IsConstraint()) << s.ToString();
-  db_->Abort(txn);
+  EXPECT_TRUE(db_->Abort(txn).ok());
 }
 
 TEST_F(AttachmentsTest, BTreeIndexSkipsUpdatesWithoutIndexedFieldChanges) {

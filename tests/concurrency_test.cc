@@ -64,7 +64,7 @@ TEST_F(ConcurrencyTest, ParallelInsertersAllLand) {
   uint64_t n = 0;
   ASSERT_TRUE(db_->CountRecords(check, desc, &n).ok());
   EXPECT_EQ(n, static_cast<uint64_t>(kThreads * kPerThread));
-  db_->Commit(check);
+  EXPECT_TRUE(db_->Commit(check).ok());
 }
 
 TEST_F(ConcurrencyTest, ParallelInsertersShareOneBTreeIndex) {
@@ -175,7 +175,7 @@ TEST_F(ConcurrencyTest, LostUpdatePreventedByRecordLocks) {
   Record rec;
   ASSERT_TRUE(db_->Fetch(check, "counters", Slice(key), &rec).ok());
   EXPECT_EQ(rec.View(&schema).GetInt(1), kThreads * kPerThread);
-  db_->Commit(check);
+  EXPECT_TRUE(db_->Commit(check).ok());
 }
 
 TEST_F(ConcurrencyTest, DeadlockVictimCanRetry) {
@@ -228,7 +228,7 @@ TEST_F(ConcurrencyTest, DeadlockVictimCanRetry) {
   EXPECT_EQ(rec.View(&schema).GetInt(1), 2);
   ASSERT_TRUE(db_->Fetch(check, "counters", Slice(key_b), &rec).ok());
   EXPECT_EQ(rec.View(&schema).GetInt(1), 2);
-  db_->Commit(check);
+  EXPECT_TRUE(db_->Commit(check).ok());
 }
 
 TEST_F(ConcurrencyTest, ReadersShareWritersExclude) {
@@ -249,7 +249,7 @@ TEST_F(ConcurrencyTest, ReadersShareWritersExclude) {
         Transaction* txn = db_->Begin();
         Record rec;
         if (db_->Fetch(txn, "counters", Slice(key), &rec).ok()) ++reads;
-        db_->Commit(txn);
+        EXPECT_TRUE(db_->Commit(txn).ok());
       }
     });
   }
@@ -265,7 +265,7 @@ TEST_F(ConcurrencyTest, ReadersShareWritersExclude) {
   Status s = db_->Update(writer, "counters", Slice(key),
                          {Value::Int(1), Value::Int(8)});
   EXPECT_TRUE(s.IsBusy() || s.IsDeadlock()) << s.ToString();
-  db_->Abort(writer);
+  EXPECT_TRUE(db_->Abort(writer).ok());
   ASSERT_TRUE(db_->Commit(reader).ok());
   db_->lock_manager()->set_timeout(std::chrono::milliseconds(2000));
 }

@@ -96,7 +96,7 @@ class FaultInjectionTortureTest : public ::testing::Test {
       record_keys_[item.view.GetInt(0)] = item.record_key;
     }
     scan.reset();
-    db_->Commit(txn);
+    EXPECT_TRUE(db_->Commit(txn).ok());
     return found;
   }
 
@@ -129,7 +129,7 @@ class FaultInjectionTortureTest : public ::testing::Test {
                             Slice(ghost), &ghost_keys)
                     .ok());
     EXPECT_TRUE(ghost_keys.empty());
-    db_->Commit(txn);
+    EXPECT_TRUE(db_->Commit(txn).ok());
 
     if (!expected_.empty()) {
       Transaction* dup = db_->Begin();
@@ -138,7 +138,7 @@ class FaultInjectionTortureTest : public ::testing::Test {
                               {Value::Int(existing), Value::String("dup")})
                       .IsConstraint())
           << "unique constraint lost after cycle " << cycle;
-      db_->Abort(dup);
+      EXPECT_TRUE(db_->Abort(dup).ok());
     }
   }
 
@@ -190,7 +190,9 @@ class FaultInjectionTortureTest : public ::testing::Test {
       }
       return false;  // Commit rolled the txn back; the disk is dead
     }
-    db_->Abort(txn);  // deliberate abort: no durable effect expected
+    // Deliberate abort, no durable effect expected; on a dead disk it
+    // fails, which the return value below reports.
+    (void)db_->Abort(txn);
     return !env_.dead_disk();
   }
 
@@ -306,7 +308,7 @@ TEST(FaultInjectionDbTest, CorruptedPageReadReturnsCorruption) {
     scan.reset();
   }
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  db->Abort(check);
+  EXPECT_TRUE(db->Abort(check).ok());
 }
 
 // -- crash during REPAIR -----------------------------------------------------

@@ -8,7 +8,8 @@ Asserts:
      lock-order graph derived from it (doc drift fails), and so are
      tools/, bench/ and examples/;
   2. the broken fixtures are flagged: the lock cycle, each
-     blocking-under-lock shape, each status-discipline shape, the direct
+     blocking-under-lock shape (PageFile I/O and the WAL hook under the
+     pool latch included), each status-discipline shape, the direct
      sibling dispatch, and each mutex-discipline shape (an unguarded
      member Mutex is found by class, not by bare name);
   3. a reasoned allow() silences its finding, a reasonless one is
@@ -64,6 +65,14 @@ def main():
             # blocking-under-lock: syscall, Env I/O, foreign-mutex wait.
             "Flusher::HoldsAcrossFsync", "Flusher::HoldsAcrossEnvIo",
             "TwoLocks::WaitsHoldingForeign",
+            # ... PageFile I/O and the WAL hook under the pool latch,
+            # also inside a function whose REQUIRES is only on its
+            # in-class declaration.
+            "PageFile I/O file_->Read() while holding LatchedPool::mu_",
+            "wal_flush_() while holding LatchedPool::mu_ (held since line "
+            "15) in LatchedPool::FlushFrame",
+            "PageFile I/O file_->Write() while holding LatchedPool::mu_",
+            "PageFile I/O file_->Sync() while holding LatchedPool::mu_",
             # status-discipline: confinement, drop, blind retry.
             "Status::IOError constructed outside",
             "drops a call result with no reason comment",
@@ -85,9 +94,10 @@ def main():
                             f"output:\n{out}")
 
     # Shapes that must not be flagged: a guarded Mutex (alone, or beside
-    # an unguarded namesake), an inheriting vector copy.
+    # an unguarded namesake), an inheriting vector copy, a REQUIRES
+    # function that releases its mutex around the I/O.
     for needle in ("GuardedMutexHolder", "GuardedSibling",
-                   "InheritsFromHeap"):
+                   "InheritsFromHeap", "UnlatchedPool"):
         if needle in out:
             failures.append(f"unexpected fixture finding {needle!r}, "
                             f"output:\n{out}")

@@ -291,6 +291,12 @@ TEST_F(SqlTest, DescribeShowsDescriptor) {
   EXPECT_NE(all.find("attachment btree_index"), std::string::npos) << all;
   EXPECT_NE(all.find("attachment check"), std::string::npos) << all;
   EXPECT_NE(all.find("x INT NOT NULL"), std::string::npos) << all;
+  // The buffer pool's counters, io_waits included, in DESCRIBE and in the
+  // metrics snapshot.
+  EXPECT_NE(all.find("db.bufferpool="), std::string::npos) << all;
+  EXPECT_NE(all.find(" io_waits"), std::string::npos) << all;
+  EXPECT_NE(db_->MetricsSnapshot().find("bufferpool.io_waits"),
+            std::string::npos);
 }
 
 TEST_F(SqlTest, CheckpointStatement) {

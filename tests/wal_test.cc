@@ -333,7 +333,7 @@ class RecoveryTest : public ::testing::Test {
                                      std::string{op, key, val});
     rec.prev_lsn = prev;
     EXPECT_TRUE(log_.Append(&rec).ok());
-    store_.Apply(rec, false);
+    EXPECT_TRUE(store_.Apply(rec, false).ok());
     return rec.lsn;
   }
 

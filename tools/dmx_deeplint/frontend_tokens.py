@@ -80,6 +80,9 @@ class TokenFrontend:
         self._file_mutexes = {}  # path -> [(line, cls, member mutex)]
         # path -> [(enclosing class or None, guard-annotation arg tokens)]
         self._file_guards = {}
+        # (class, method) -> REQUIRES arg token-lists of its in-class
+        # declaration, for an out-of-line definition that repeats none.
+        self._proto_requires = {}
 
     # ---- public API ---------------------------------------------------
 
@@ -285,7 +288,7 @@ class TokenFrontend:
                         return j + 1
                     if t.text == ";":
                         self._record_prototype(path, cls, name_chain,
-                                               toks[start:j])
+                                               toks[start:j], entry_args)
                         return j + 1
                     if t.text == "{":
                         k = self._skip_balanced(toks, j, "{", "}")
@@ -397,7 +400,9 @@ class TokenFrontend:
             g.mutexes.append(idents[-1])
             g.members[idents[-1]] = ("Mutex",)
 
-    def _record_prototype(self, path, cls, chain, sig):
+    def _record_prototype(self, path, cls, chain, sig, entry_args):
+        if cls is not None and len(chain) == 1 and entry_args:
+            self._proto_requires[(cls, chain[0])] = entry_args
         if cls is None and len(chain) == 1:
             ret = [t.text for t in sig
                    if t.kind == "ident" and t.text not in QUALIFIER_IDENTS]
@@ -432,9 +437,14 @@ class TokenFrontend:
         for fd in self._file_funcs[path]:
             fn = FunctionModel(qual=fd.qual, cls=fd.cls, name=fd.name,
                                file=path, line=fd.line)
+            # The contract usually sits on the in-class declaration only:
+            # calls in `Status Pool::FlushFrame(...) {` are still made
+            # under the mutex its header REQUIRES.
+            entry_args = fd.entry_args or \
+                self._proto_requires.get((fd.cls, fd.name), [])
             fn.entry_locks = tuple(
                 self._canon_lock(self._lock_components(args), fd, path)
-                for args in fd.entry_args if args)
+                for args in entry_args if args)
             self._walk_body(path, fd, fn)
             fn.mentions = frozenset(t.text for t in fd.body
                                     if t.kind == "ident")

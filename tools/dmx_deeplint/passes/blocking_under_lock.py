@@ -27,7 +27,7 @@ DEFAULT_BLOCKING_FUNCTIONS = (
     "waitpid", "select", "poll", "epoll_wait",
 )
 DEFAULT_BLOCKING_RECEIVER_TYPES = (
-    "Env", "RandomAccessFile",
+    "Env", "RandomAccessFile", "PageFile",
 )
 # Smart-pointer plumbing on a blocking-typed member, not I/O itself.
 POINTER_METHODS = frozenset(("reset", "get", "release", "swap", "owner"))
